@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -394,16 +394,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _grid_spec(args: argparse.Namespace):
+    """The :class:`~repro.sweep.SweepSpec` named by the ``_GRID_ARGS`` flags."""
     from .agents.student import FillStyle
     from .schedule import AcquirePolicy
-    from .sweep import ACTIVITY, SweepSpec, run_sweep
-    from .viz import format_table
+    from .sweep import ACTIVITY, SweepSpec
 
     scenarios = tuple(
         ACTIVITY if s == "activity" else int(s) for s in args.scenario
     ) or (3,)
-    spec = SweepSpec(
+    return SweepSpec(
         flags=tuple(args.flag) or ("mauritius",),
         scenarios=scenarios,
         team_sizes=tuple(args.team_size) or (4,),
@@ -415,10 +415,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         seed=args.seed,
     )
-    store = None
-    if args.store is not None:
-        from .store import ResultStore
-        store = ResultStore(args.store)
+
+
+def _open_store(args: argparse.Namespace):
+    """The ``--store`` database opened, or None without the flag."""
+    if args.store is None:
+        return None
+    from .store import ResultStore
+    return ResultStore(args.store)
+
+
+def _print_grid_result(spec, result) -> None:
+    """The per-cell table and the totals line ``sweep`` and ``fabric`` print."""
+    from .viz import format_table
+    print(format_table(
+        ["cell", "run", "trials", "median", "correct", "cache"],
+        result.table_rows(),
+    ))
+    print(f"{spec.n_cells} cells x {spec.n_trials} trials: "
+          f"computed {result.computed_trials}, "
+          f"cached {result.cached_trials} "
+          f"({result.workers} workers, {result.wall_seconds:.2f}s wall)")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import run_sweep
+
+    spec = _grid_spec(args)
+    store = _open_store(args)
     try:
         result = run_sweep(spec, workers=args.workers,
                            cache_dir=args.cache_dir,
@@ -432,14 +456,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if store is not None:
             store.close()
-    print(format_table(
-        ["cell", "run", "trials", "median", "correct", "cache"],
-        result.table_rows(),
-    ))
-    print(f"{spec.n_cells} cells x {spec.n_trials} trials: "
-          f"computed {result.computed_trials}, "
-          f"cached {result.cached_trials} "
-          f"({result.workers} workers, {result.wall_seconds:.2f}s wall)")
+    _print_grid_result(spec, result)
     if args.observe:
         for cell in result.cells:
             rolled = cell.obs_rollup(cell.labels()[-1])
@@ -490,27 +507,9 @@ def _parse_remote(text: str):
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from .agents.student import FillStyle
     from .fabric import ChaosPlan, FabricConfig, FabricCoordinator
-    from .schedule import AcquirePolicy
-    from .sweep import ACTIVITY, SweepSpec
-    from .viz import format_table
 
-    scenarios = tuple(
-        ACTIVITY if s == "activity" else int(s) for s in args.scenario
-    ) or (3,)
-    spec = SweepSpec(
-        flags=tuple(args.flag) or ("mauritius",),
-        scenarios=scenarios,
-        team_sizes=tuple(args.team_size) or (4,),
-        policies=tuple(AcquirePolicy[p.upper()] for p in args.policy)
-                 or (AcquirePolicy.HOLD_COLOR_RUN,),
-        styles=tuple(FillStyle[s.upper()] for s in args.style)
-               or (FillStyle.SCRIBBLE,),
-        copies=tuple(args.copies) or (1,),
-        n_trials=args.trials,
-        seed=args.seed,
-    )
+    spec = _grid_spec(args)
     config = FabricConfig(
         workers=args.workers,
         remotes=tuple(_parse_remote(r) for r in args.remote),
@@ -519,10 +518,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         heartbeat_timeout_s=args.heartbeat_timeout,
     )
     chaos = ChaosPlan.of([_parse_chaos_event(c) for c in args.chaos])
-    store = None
-    if args.store is not None:
-        from .store import ResultStore
-        store = ResultStore(args.store)
+    store = _open_store(args)
     coordinator = FabricCoordinator(spec, config, cache_dir=args.cache_dir,
                                     store=store,
                                     store_tenant=args.store_tenant,
@@ -537,16 +533,8 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     finally:
         if store is not None:
             store.close()
-    print(format_table(
-        ["cell", "run", "trials", "median", "correct", "cache"],
-        result.table_rows(),
-    ))
+    _print_grid_result(spec, result)
     stats = coordinator.stats
-    print(f"{spec.n_cells} cells x {spec.n_trials} trials: "
-          f"computed {result.computed_trials}, "
-          f"cached {result.cached_trials} "
-          f"({len(config.worker_names)} workers, "
-          f"{result.wall_seconds:.2f}s wall)")
     print(f"  leases {stats.leases} (retries {stats.retries}, "
           f"hedges {stats.hedges}), steals {stats.steals} "
           f"({stats.stolen_cells} cells), "
@@ -821,6 +809,67 @@ def _cmd_tutor(args: argparse.Namespace) -> int:
     return 0
 
 
+#: A flag group as ``(option, argparse keyword arguments)`` rows.
+_ArgTable = Tuple[Tuple[str, Dict[str, Any]], ...]
+
+#: The experiment-grid axes ``sweep`` and ``fabric`` share; read back
+#: by :func:`_grid_spec`.
+_GRID_ARGS: _ArgTable = (
+    ("--flag", dict(action="append", default=[],
+                    help="flag axis (repeatable; default mauritius)")),
+    ("--scenario", dict(action="append", default=[],
+                        choices=("1", "2", "3", "4", "activity"),
+                        help="scenario axis (repeatable; 'activity' = all "
+                             "four scenarios with the scenario-1 repeat; "
+                             "default 3)")),
+    ("--team-size", dict(action="append", type=int, default=[],
+                         dest="team_size",
+                         help="team size axis (default 4)")),
+    ("--policy", dict(action="append", default=[],
+                      choices=("hold_color_run", "release_per_stroke"),
+                      help="acquisition policy axis (default "
+                           "hold_color_run)")),
+    ("--style", dict(action="append", default=[],
+                     choices=("full", "scribble", "minimal"),
+                     help="fill style axis (default scribble)")),
+    ("--copies", dict(action="append", type=int, default=[],
+                      help="duplicate-implements axis (default 1)")),
+    ("--trials", dict(type=int, default=8,
+                      help="independent trials per cell")),
+    ("--seed", dict(type=int, default=0)),
+)
+
+#: Where results come from and go; ``sweep``, ``fabric`` and ``serve``
+#: share these.
+_RESULT_ARGS: _ArgTable = (
+    ("--cache-dir", dict(default=None,
+                         help="content-addressed result cache directory, "
+                              "one format for sweep, fabric and serve; "
+                              "warm re-runs recompute nothing")),
+    ("--store", dict(default=None,
+                     help="durable result store database (repro.store): "
+                          "results persist across restarts and cache "
+                          "deletion; serve adds /tenants, /results and "
+                          "token auth")),
+    ("--store-tenant", dict(default="public", dest="store_tenant",
+                            help="tenant path results are stored under "
+                                 "(serve: the tenant unauthenticated "
+                                 "requests act as)")),
+    ("--backend", dict(default="reference",
+                       choices=("reference", "vector", "auto"),
+                       help="trial engine: the reference event loop, the "
+                            "batched vector engine (identical metrics, no "
+                            "traces), or auto per-cell selection; serve "
+                            "request bodies may override it")),
+)
+
+
+def _add_args(parser: argparse.ArgumentParser, table: _ArgTable) -> None:
+    """Add every flag of a shared group to one subcommand's parser."""
+    for option, kwargs in table:
+        parser.add_argument(option, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -949,67 +998,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="run a declarative experiment grid across a process pool")
-    p.add_argument("--flag", action="append", default=[],
-                   help="flag axis (repeatable; default mauritius)")
-    p.add_argument("--scenario", action="append", default=[],
-                   choices=("1", "2", "3", "4", "activity"),
-                   help="scenario axis (repeatable; 'activity' = all four "
-                        "scenarios with the scenario-1 repeat; default 3)")
-    p.add_argument("--team-size", action="append", type=int, default=[],
-                   dest="team_size", help="team size axis (default 4)")
-    p.add_argument("--policy", action="append", default=[],
-                   choices=("hold_color_run", "release_per_stroke"),
-                   help="acquisition policy axis (default hold_color_run)")
-    p.add_argument("--style", action="append", default=[],
-                   choices=("full", "scribble", "minimal"),
-                   help="fill style axis (default scribble)")
-    p.add_argument("--copies", action="append", type=int, default=[],
-                   help="duplicate-implements axis (default 1)")
-    p.add_argument("--trials", type=int, default=8,
-                   help="independent trials per cell")
-    p.add_argument("--seed", type=int, default=0)
+    _add_args(p, _GRID_ARGS)
+    _add_args(p, _RESULT_ARGS)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (parallel runs are "
                         "byte-identical to serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="content-addressed result cache directory; warm "
-                        "re-runs recompute nothing")
-    p.add_argument("--store", default=None,
-                   help="durable result store database (repro.store); "
-                        "computed cells persist across restarts and "
-                        "cache deletion")
-    p.add_argument("--store-tenant", default="public", dest="store_tenant",
-                   help="tenant path to persist results under")
     p.add_argument("--observe", action="store_true",
                    help="attach the observability layer to every run and "
                         "print per-cell counter roll-ups")
-    p.add_argument("--backend", default="reference",
-                   choices=("reference", "vector", "auto"),
-                   help="trial engine: the reference event loop, the "
-                        "batched vector engine (identical metrics, no "
-                        "traces), or auto per-cell selection")
 
     p = sub.add_parser(
         "fabric",
         help="run an experiment grid on the fault-tolerant sweep fabric")
-    p.add_argument("--flag", action="append", default=[],
-                   help="flag axis (repeatable; default mauritius)")
-    p.add_argument("--scenario", action="append", default=[],
-                   choices=("1", "2", "3", "4", "activity"),
-                   help="scenario axis (repeatable; default 3)")
-    p.add_argument("--team-size", action="append", type=int, default=[],
-                   dest="team_size", help="team size axis (default 4)")
-    p.add_argument("--policy", action="append", default=[],
-                   choices=("hold_color_run", "release_per_stroke"),
-                   help="acquisition policy axis (default hold_color_run)")
-    p.add_argument("--style", action="append", default=[],
-                   choices=("full", "scribble", "minimal"),
-                   help="fill style axis (default scribble)")
-    p.add_argument("--copies", action="append", type=int, default=[],
-                   help="duplicate-implements axis (default 1)")
-    p.add_argument("--trials", type=int, default=8,
-                   help="independent trials per cell")
-    p.add_argument("--seed", type=int, default=0)
+    _add_args(p, _GRID_ARGS)
+    _add_args(p, _RESULT_ARGS)
     p.add_argument("--workers", type=int, default=2,
                    help="local subprocess workers (w0..wN-1)")
     p.add_argument("--remote", action="append", default=[],
@@ -1029,20 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scripted failure (repeatable): crash:W:N, "
                         "stall:W:N:S, slowstart:W:S, drop:W:N — e.g. "
                         "crash:w0:1 kills w0 on its first lease")
-    p.add_argument("--cache-dir", default=None,
-                   help="content-addressed result cache directory "
-                        "(shared format with 'repro sweep --cache-dir')")
-    p.add_argument("--store", default=None,
-                   help="durable result store database (repro.store); "
-                        "leased-cell results persist through it")
-    p.add_argument("--store-tenant", default="public", dest="store_tenant",
-                   help="tenant path to persist results under")
     p.add_argument("--observe", action="store_true",
                    help="attach the observability layer to every run")
-    p.add_argument("--backend", default="reference",
-                   choices=("reference", "vector", "auto"),
-                   help="trial engine, resolved per cell as in "
-                        "'repro sweep --backend'")
 
     p = sub.add_parser(
         "serve",
@@ -1062,25 +1052,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trial-compute processes (0 = in-process threads)")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="default per-request deadline, seconds")
-    p.add_argument("--cache-dir", default=None,
-                   help="read-through result cache directory "
-                        "(shared format with 'repro sweep --cache-dir')")
+    _add_args(p, _RESULT_ARGS)
     p.add_argument("--cache-max-entries", type=int, default=None,
                    dest="cache_max_entries",
                    help="LRU-prune the cache beyond this many entries")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    dest="cache_max_bytes",
                    help="LRU-prune the cache beyond this many bytes")
-    p.add_argument("--backend", default="reference",
-                   choices=("reference", "vector", "auto"),
-                   help="trial engine for requests that name none "
-                        "(request bodies may override per call)")
-    p.add_argument("--store", default=None,
-                   help="durable result store database (repro.store): "
-                        "read-through under the cache, /tenants and "
-                        "/results endpoints, token auth")
-    p.add_argument("--store-tenant", default="public", dest="store_tenant",
-                   help="tenant path unauthenticated requests act as")
     p.add_argument("--require-token", action="store_true",
                    dest="require_token",
                    help="refuse tokenless /run /sweep /task /results "

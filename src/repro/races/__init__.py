@@ -20,8 +20,11 @@ asserting it in comments.
   gated into the concurrency tests by ``REPRO_SAN=1``.
 
 Both layers emit the same canonical-JSON :class:`RaceReport` envelope
-(the :class:`repro.analyze.report.AnalysisReport` house style); the
-related simlint rules LOCK001/LOCK002 live in ``tools/simlint.py``.
+(the :class:`repro.analyze.report.AnalysisReport` house style).  The
+static layer is the repo's one lock-discipline check; simlint keeps only
+the thread-lifecycle rule LOCK002.  The dynamic layer earns its place
+on races the static one cannot see, such as a guarded attribute
+written from outside its class (``tests/test_races_regression.py``).
 """
 
 from .report import RACES_VERSION, RaceError, RaceReport, sort_findings

@@ -34,7 +34,7 @@ Findings (codes double as allowlist keys, format
   lock (only reachable through subscript/mutator asymmetries; plain
   write asymmetry manifests as ``mixed_guard``).
 * ``mixed_guard`` — some writes hold a lock, some hold none: the lock
-  protects nothing (simlint's LOCK001 is the binding-level twin).
+  protects nothing.
 
 Known limits, on purpose: only ``self.<attr>`` accesses are tracked
 (cross-object accesses like ``sub.dropped`` are invisible), nested

@@ -30,7 +30,7 @@ Activation in the concurrency tests is environment-gated::
 
 via :func:`maybe_sanitized`, which is a no-op (``yield None``) unless
 ``REPRO_SAN=1`` — the tier-1 suite pays nothing by default, the CI
-``race`` job turns it on.
+``race-and-bench`` job turns it on.
 """
 
 from __future__ import annotations

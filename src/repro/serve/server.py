@@ -378,8 +378,8 @@ def _response_bytes(status: int, payload: Any,
 class BackgroundServer:
     """A live :class:`ServeServer` on a daemon thread.
 
-    Context manager used by tests, the throughput benchmark, the docs
-    examples, and the CI smoke job::
+    Context manager used by tests, the throughput benchmark and the docs
+    examples::
 
         with BackgroundServer(ServeConfig(cache_dir="cache")) as bg:
             client = bg.client()

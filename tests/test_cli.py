@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import shutil
 
 import pytest
 
@@ -48,6 +49,35 @@ class TestParser:
             }[cmd]
             args = parser.parse_args(argv)
             assert args.command == cmd
+
+    def test_sweep_and_fabric_parse_the_same_grid(self):
+        from repro.cli import _grid_spec
+        grid = ["--flag", "poland", "--flag", "jordan", "--scenario", "4",
+                "--scenario", "activity", "--team-size", "5", "--policy",
+                "release_per_stroke", "--style", "full", "--copies", "2",
+                "--trials", "3", "--seed", "9"]
+        parser = build_parser()
+        sweep = _grid_spec(parser.parse_args(["sweep", *grid]))
+        fabric = _grid_spec(parser.parse_args(["fabric", *grid]))
+        assert sweep == fabric
+        assert sweep.flags == ("poland", "jordan")
+        assert (sweep.team_sizes, sweep.copies) == ((5,), (2,))
+        assert (sweep.n_trials, sweep.seed) == (3, 9)
+
+    def test_grid_defaults(self):
+        from repro.cli import _grid_spec
+        spec = _grid_spec(build_parser().parse_args(["sweep"]))
+        assert spec.flags == ("mauritius",)
+        assert spec.scenarios == (3,)
+        assert spec.team_sizes == (4,)
+
+    @pytest.mark.parametrize("cmd", ["sweep", "fabric", "serve"])
+    def test_result_flags_are_shared(self, cmd):
+        args = build_parser().parse_args(
+            [cmd, "--cache-dir", "c", "--store", "s.db", "--store-tenant",
+             "usi/cs1", "--backend", "vector"])
+        assert (args.cache_dir, args.store, args.store_tenant,
+                args.backend) == ("c", "s.db", "usi/cs1", "vector")
 
 
 class TestCommands:
@@ -211,9 +241,10 @@ class TestCommands:
         assert "coverage" in out
         assert "abandon" in out
 
-    def test_chaos_is_deterministic(self, capsys):
+    @pytest.mark.parametrize("policy", ["abandon", "redistribute", "spare"])
+    def test_chaos_is_deterministic(self, capsys, policy):
         argv = ["chaos", "mauritius", "--scenario", "4",
-                "--policy", "spare", "--seed", "3"]
+                "--policy", policy, "--seed", "3"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
@@ -438,6 +469,35 @@ class TestTutorCommand:
         out = capsys.readouterr().out
         assert "lesson: speedup" in out
         assert "timeline:" in out
+
+
+class TestStoreCommands:
+    def test_operator_lifecycle(self, tmp_path, capsys):
+        # init -> plan -> provision -> a sweep persisted through the
+        # store survives losing its cache -> list -> gc.
+        db = str(tmp_path / "store.db")
+        assert main(["store", "init", db]) == 0
+        assert "schema version" in capsys.readouterr().out
+        assert main(["store", "migrate", db, "--plan"]) == 0
+        assert "up to date" in capsys.readouterr().out
+        assert main(["store", "tenants", db, "--add", "usi/cs1",
+                     "--max-results", "100"]) == 0
+        assert "max_results=100" in capsys.readouterr().out
+
+        cache = tmp_path / "cache"
+        argv = ["sweep", "--trials", "2", "--seed", "7", "--store", db,
+                "--store-tenant", "usi/cs1", "--cache-dir", str(cache)]
+        assert main(argv) == 0
+        assert "computed 2, cached 0" in capsys.readouterr().out
+        shutil.rmtree(cache)
+        assert main(argv) == 0
+        assert "computed 0, cached 2" in capsys.readouterr().out
+
+        assert main(["store", "results", db, "--tenant", "usi/cs1"]) == 0
+        listing = capsys.readouterr().out
+        assert "usi/cs1" in listing and listing.endswith("1 results\n")
+        assert main(["store", "gc", db, "--tenant", "usi/cs1"]) == 0
+        assert "collected 0 results" in capsys.readouterr().out
 
 
 class TestStoreTokenExpiry:

@@ -1,9 +1,9 @@
 """Tests for ``repro.races.lockset`` — static guarded-attribute analysis.
 
 Inference runs on source snippets (no filesystem); the allowlist, the
-report envelope, and the repo-wide clean guarantee run exactly like the
-CI ``race`` job — including the ``repro racecheck src/repro`` exit-0
-acceptance check.
+report envelope, and the repo-wide clean guarantee run through the real
+CLI — including the ``repro racecheck src/repro`` exit-0 check that is
+the repo's one lock-discipline lint.
 """
 
 import json
@@ -304,7 +304,7 @@ class TestCli:
 
     def test_repo_is_clean(self):
         # The acceptance guarantee: the shipped tree passes racecheck
-        # with the shipped allowlist — exactly the CI race job.
+        # with the shipped allowlist — exactly the racecheck lint pass.
         proc = self.run_cli("src/repro")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout

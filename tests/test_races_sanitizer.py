@@ -5,7 +5,7 @@ edge orders the conflicting accesses, which is a property of the
 program's synchronization structure, so the same racy program yields a
 byte-identical report on every run while a properly locked twin stays
 clean.  The tail of the file exercises the ``REPRO_SAN=1`` gate the CI
-``race`` job flips, including the fabric-coordinator parity run.
+``race-and-bench`` job flips, including the fabric-coordinator parity run.
 """
 
 import threading
@@ -253,7 +253,7 @@ class TestGate:
 
 class TestSanitizedFabric:
     def test_coordinator_heartbeats_race_free(self):
-        # The CI race job runs this with REPRO_SAN=1: the coordinator
+        # The CI race-and-bench job runs this with REPRO_SAN=1: the coordinator
         # loop, its worker heartbeats, and the process-pool plumbing
         # all execute on sanitizer shims, and the sweep must still be
         # byte-identical to serial.  Unsanitized (tier-1 default) it is

@@ -1,9 +1,9 @@
-"""Tests for tools/simlint.py — the determinism & async-safety linter.
+"""Tests for tools/simlint.py — the repo's one AST lint pass.
 
 Rule checks run directly on parsed snippets (scoping is tested through
 ``Rule.applies`` separately, since the path scopes reference real repo
-layout).  The CLI and the repo-wide clean guarantee run as subprocesses
-exactly like the CI lint job.
+layout).  The CLI and the repo-wide clean guarantee run as subprocesses,
+which makes this file the repo's lint pass.
 """
 
 import ast
@@ -87,14 +87,19 @@ class TestRuleScoping:
             assert rule.applies("src/repro/grid/canvas.py")
 
     def test_lock_rules_scope_to_threaded_paths(self):
-        for rule in (simlint.MixedGuardRule(),
-                     simlint.ThreadLifecycleRule()):
-            assert rule.applies("src/repro/stream/bus.py")
-            assert rule.applies("src/repro/store/core.py")
-            assert rule.applies("src/repro/fabric/coordinator.py")
-            assert rule.applies("src/repro/serve/server.py")
-            assert not rule.applies("src/repro/sim/engine.py")
-            assert not rule.applies("tools/simlint.py")
+        rule = simlint.ThreadLifecycleRule()
+        assert rule.applies("src/repro/stream/bus.py")
+        assert rule.applies("src/repro/store/core.py")
+        assert rule.applies("src/repro/fabric/coordinator.py")
+        assert rule.applies("src/repro/serve/server.py")
+        assert not rule.applies("src/repro/sim/engine.py")
+        assert not rule.applies("tools/simlint.py")
+
+    def test_docstring_rule_scopes_to_src_and_tools(self):
+        rule = simlint.DocstringRule()
+        assert rule.applies("src/repro/sim/engine.py")
+        assert rule.applies("tools/simlint.py")
+        assert not rule.applies("benchmarks/test_stream_fanout.py")
 
     def test_det001_covers_benchmarks(self):
         rule = simlint.WallClockRule()
@@ -217,78 +222,6 @@ class TestHygieneRules:
 
 
 class TestLockRules:
-    def test_lock001_flags_mixed_guard(self):
-        violations = run_rule(
-            simlint.MixedGuardRule(),
-            "import threading\n"
-            "class C:\n"
-            "    def locked_bump(self):\n"
-            "        with self._lock:\n"
-            "            self._n += 1\n"
-            "    def bare_bump(self):\n"
-            "        self._n += 1\n")
-        assert [(v[2], v[3]) for v in violations] == [
-            ("LOCK001", "C._n")]
-
-    def test_lock001_exempts_init_and_locked_methods(self):
-        violations = run_rule(
-            simlint.MixedGuardRule(),
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._n = 0\n"
-            "    def bump(self):\n"
-            "        with self._lock:\n"
-            "            self._n += 1\n"
-            "    def _bump_locked(self):\n"
-            "        self._n += 1\n")
-        assert violations == []
-
-    def test_lock001_borrowed_lock_counts_as_locked(self):
-        # `with self._owner._lock:` — a borrowed lock still guards.
-        violations = run_rule(
-            simlint.MixedGuardRule(),
-            "class C:\n"
-            "    def a(self):\n"
-            "        with self._owner._lock:\n"
-            "            self._n = 1\n"
-            "    def b(self):\n"
-            "        self._n = 2\n")
-        assert [v[3] for v in violations] == ["C._n"]
-
-    def test_lock001_nested_defs_are_out_of_scope(self):
-        # The linter twin skips closure bodies entirely (they run
-        # later, with unknown locks); the full-depth analysis in
-        # repro.races.lockset is the layer that flags this shape.
-        violations = run_rule(
-            simlint.MixedGuardRule(),
-            "class C:\n"
-            "    def a(self):\n"
-            "        with self._lock:\n"
-            "            self._n = 1\n"
-            "    def b(self):\n"
-            "        with self._lock:\n"
-            "            def later():\n"
-            "                self._n = 2\n"
-            "            return later\n")
-        assert violations == []
-
-    def test_lock001_consistent_discipline_is_clean(self):
-        violations = run_rule(
-            simlint.MixedGuardRule(),
-            "class C:\n"
-            "    def a(self):\n"
-            "        with self._lock:\n"
-            "            self._n = 1\n"
-            "    def b(self):\n"
-            "        with self._lock:\n"
-            "            self._n = 2\n"
-            "    def c(self):\n"
-            "        self._m = 3\n"
-            "    def d(self):\n"
-            "        self._m = 4\n")
-        assert violations == []
-
     def test_lock002_flags_unmanaged_thread(self):
         violations = run_rule(
             simlint.ThreadLifecycleRule(),
@@ -325,6 +258,56 @@ class TestLockRules:
         assert violations == []
 
 
+def run_docstring_rule(source, filename="mod.py"):
+    tree, scoped = scoped_tree(source)
+    return [(v[2], v[3]) for v in simlint.DocstringRule().check(
+        pathlib.Path(filename), tree, scoped)]
+
+
+class TestDocstringRule:
+    def test_missing_docstrings_are_reported(self):
+        assert run_docstring_rule(
+            "def exposed(x):\n    return x\n\n"
+            "class Thing:\n"
+            "    def method(self):\n        return 1\n") == [
+            ("D100", "<module>"), ("D103", "exposed"), ("D101", "Thing"),
+            ("D102", "Thing.method")]
+
+    def test_documented_tree_is_clean(self):
+        assert run_docstring_rule(
+            '"""Module doc."""\n\n'
+            "def exposed(x):\n    '''Doc.'''\n    return x\n\n"
+            "class Thing:\n"
+            "    '''Doc.'''\n"
+            "    async def method(self):\n        '''Doc.'''\n") == []
+
+    def test_private_and_dunder_names_are_exempt(self):
+        assert run_docstring_rule(
+            '"""Module doc."""\n\n'
+            "def _helper():\n    return 1\n\n"
+            "class _Hidden:\n"
+            "    def anything(self):\n        return 1\n\n"
+            "class Shown:\n"
+            '    """Doc."""\n'
+            "    def __init__(self):\n        self.x = 1\n") == []
+
+    def test_private_module_needs_no_module_docstring(self):
+        assert run_docstring_rule("x = 1\n", "_private.py") == []
+        assert run_docstring_rule("x = 1\n", "__init__.py") == [
+            ("D100", "<module>")]
+
+    def test_stubs_and_nested_defs_are_exempt(self):
+        assert run_docstring_rule(
+            '"""Module doc."""\n\n'
+            "class Proto:\n"
+            "    '''Doc.'''\n"
+            "    def member(self): ...\n\n"
+            "def outer():\n"
+            "    '''Doc.'''\n"
+            "    def inner():\n        return 1\n"
+            "    class Local:\n        pass\n") == []
+
+
 class TestAllowlist:
     def test_load_parses_entries(self, tmp_path):
         f = tmp_path / "allow.txt"
@@ -353,18 +336,33 @@ class TestAllowlist:
 
 class TestCli:
     def test_repo_is_clean(self):
-        # The satellite guarantee: the shipped tree (benchmarks
-        # included) lints clean with the shipped allowlist and no
-        # stale entries — exactly what the CI lint job runs.
+        # The shipped tree (benchmarks included) lints clean — every
+        # rule family, docstrings too — with the shipped allowlist and
+        # no stale entries.
         proc = run_cli("--strict-unused", "src", "tools", "benchmarks")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
+    def test_missing_docstring_is_reported_by_the_cli(self, tmp_path):
+        mod = tmp_path / "tools" / "undocumented.py"
+        mod.parent.mkdir()
+        mod.write_text('"""Module doc."""\n\n'
+                       "def exposed(x):\n    return x\n")
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "simlint.py"),
+             "--allowlist", str(tmp_path / "none.txt"), "tools"],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert ("tools/undocumented.py:3: D103 [exposed] missing "
+                "docstring in public function") in proc.stdout
+
     def test_violation_found_and_allowlisted(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import time\n\n"
+        bad.write_text('"""A module that reads the host clock."""\n\n'
+                       "import time\n\n"
                        "def tick():\n"
+                       '    """The current wall time."""\n'
                        "    return time.time()\n")
         proc = subprocess.run(
             [sys.executable, str(REPO / "tools" / "simlint.py"),

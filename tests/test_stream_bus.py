@@ -151,7 +151,7 @@ class TestOverflow:
         assert per_frame < 1e-3
 
     def test_concurrent_publish_and_drain_delivers_exactly_once(self):
-        # Runs on happens-before shims when REPRO_SAN=1 (CI race job).
+        # Runs on happens-before shims when REPRO_SAN=1 (CI race-and-bench job).
         with maybe_sanitized():
             stream = RunStream("t", max_queue=2048)
             sub = stream.subscribe()

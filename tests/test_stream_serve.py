@@ -59,7 +59,7 @@ def raw_sse(server, token, *, after=None, max_bytes=65536, timeout=5.0):
         chunks = []
         total = 0
         while total < max_bytes:
-            chunk = response.read(4096)
+            chunk = response.read1(4096)
             if not chunk:
                 break
             chunks.append(chunk)
@@ -335,6 +335,20 @@ class TestSlowSubscriber:
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
                              stream_queue=16, batch_window_s=0.005)
         with BackgroundServer(config) as bg:
+            # The raw socket below may never fill: the kernel's socket
+            # buffers can swallow a whole feed.  A bus subscription that
+            # attaches when the feed is created and never drains sees
+            # every frame live, so its queue overflows on any host.
+            hub = bg.server.handlers.hub
+            create = hub.create
+            never_drained = []
+
+            def create_with_stuck_subscriber(token):
+                stream = create(token)
+                never_drained.append(stream.subscribe())
+                return stream
+
+            hub.create = create_with_stuck_subscriber
             client = bg.client()
             reply = client.run(flag="poland", scenario=0, seed=71,
                                stream=True)
@@ -364,6 +378,25 @@ class TestStreamedAdmission:
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
                              max_pending=1, batch_window_s=0.005)
         with BackgroundServer(config) as bg:
+            # Hold the streamed compute at its first publish until the
+            # second request has been answered, so the slot is still
+            # taken however fast the host runs the trial.
+            hub = bg.server.handlers.hub
+            create = hub.create
+            gate = threading.Event()
+
+            def create_gated(token):
+                stream = create(token)
+                publish = stream.publish
+
+                def gated_publish(*args, **kwargs):
+                    gate.wait(10.0)
+                    return publish(*args, **kwargs)
+
+                stream.publish = gated_publish
+                return stream
+
+            hub.create = create_gated
             client = bg.client()
             reply = client.run(flag="mauritius", scenario=0, seed=72,
                                stream=True)
@@ -372,6 +405,8 @@ class TestStreamedAdmission:
                 client.run(flag="poland", scenario=3, seed=73)
             except ServeError as err:
                 saw_429 = err.status == 429
+            finally:
+                gate.set()
             frames = list(client.stream(reply["stream"]))
             assert frames[-1].kind == "end"
             # The slot frees once the feed ends; now the request fits.

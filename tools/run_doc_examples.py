@@ -13,7 +13,7 @@ Rules:
 - Only fenced blocks opened with exactly ```` ```python ```` run;
   ``bash``/``text``/plain fences are prose.
 - A block preceded (immediately, modulo blank lines) by an HTML comment
-  ``<!-- doclint: skip-example -->`` is skipped.
+  ``<!-- skip-example -->`` is skipped.
 
 Usage::
 
@@ -29,7 +29,7 @@ import tempfile
 import traceback
 from typing import List, Tuple
 
-SKIP_MARK = "<!-- doclint: skip-example -->"
+SKIP_MARK = "<!-- skip-example -->"
 
 
 def extract_blocks(text: str) -> List[Tuple[int, str, bool]]:

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """A rule-based AST linter for the simulator's house invariants.
 
-``tools/doclint.py`` checks one property (docstrings) with one walk;
-this is its generalization: a small engine that runs a set of *rule
-classes* over every file, each rule scoped to the subtrees where its
-invariant must hold.  The rules encode what the repo's determinism and
-service layers promise:
+A small engine that parses each file once and runs a set of *rule
+classes* over it, each rule scoped to the subtrees where its invariant
+must hold.  The rules encode what the repo's determinism, service and
+documentation layers promise:
 
 DET — determinism (``repro`` sim/sweep/faults/schedule/agents paths):
   DET001  wall-clock reads (``time.time``/``perf_counter``/
@@ -29,17 +28,27 @@ ASYNC — event-loop safety (``repro/serve`` and ``repro/stream``):
             layer's contract is bounded per-subscriber buffers with
             explicit drop-oldest accounting instead.
 
-LOCK — lock discipline (the threaded ``repro`` subsystems: stream,
-store, fabric, serve — the deep analysis lives in
-``repro.races.lockset``; these are the linter-grade twins):
-  LOCK001  mixed guarded/unguarded mutation: within one class, some
-           assignments to ``self._x`` sit inside ``with self._lock:``
-           and some do not — the lock protects nothing.  ``__init__``
-           and ``*_locked`` methods (caller holds the lock, by house
-           convention) are exempt.
+LOCK — thread lifecycle (the threaded ``repro`` subsystems: stream,
+store, fabric, serve).  Lock *discipline* (which attributes a lock
+guards, and who skips it) is ``repro racecheck``'s job
+(``repro.races.lockset``); the tier-1 suite runs both:
   LOCK002  ``threading.Thread(...)`` constructed without ``daemon=``
            and without a visible ``.join()`` on the assigned name —
            a leak-on-exit thread with no shutdown path.
+
+HYG — hygiene (every file):
+  HYG001  mutable default argument.
+  HYG002  bare ``except:``.
+
+D — docstrings (``src/`` and ``tools/``; pydocstyle's D1xx subset):
+  D100  missing docstring in public module
+  D101  missing docstring in public class
+  D102  missing docstring in public method
+  D103  missing docstring in public function
+  "Public" means no leading underscore on the name or any enclosing
+  class; dunders are exempt (constructor arguments are documented in
+  the class docstring), as are ``...``-only stubs, and defs nested in
+  functions are not checked.
 
 DET rules also police ``benchmarks/``: benchmark *measurement* needs
 the wall clock, so those timers are allowlisted by name; everything
@@ -49,8 +58,8 @@ Findings can be suppressed via an allowlist file (default
 ``tools/simlint_allow.txt``): one entry per line,
 ``CODE path::symbol -- justification``, justification mandatory.
 Unused entries are reported to stderr (exit status unaffected) so the
-allowlist cannot rot silently; with ``--strict-unused`` (the CI lint
-job) a stale entry is a hard failure.
+allowlist cannot rot silently; with ``--strict-unused`` (what
+``tests/test_simlint.py`` runs) a stale entry is a hard failure.
 
 Usage::
 
@@ -144,10 +153,10 @@ class Rule:
         raise NotImplementedError
 
     def violation(self, path: pathlib.Path, node: ast.AST, symbol: str,
-                  message: str) -> Violation:
-        """Build one finding anchored at a node."""
-        return (path, getattr(node, "lineno", 0), self.code, symbol,
-                message)
+                  message: str, code: Optional[str] = None) -> Violation:
+        """Build one finding anchored at a node (a module is line 1)."""
+        return (path, getattr(node, "lineno", 1), code or self.code,
+                symbol, message)
 
 
 _SIM_PATHS = ("src/repro/sim/", "src/repro/sweep/", "src/repro/faults/",
@@ -343,107 +352,6 @@ class AsyncQueuePutRule(Rule):
         return out
 
 
-def _self_attr_chain(node: ast.expr) -> Optional[str]:
-    """``self``-rooted attribute chain without the root, or None.
-
-    ``self._stream._lock`` → ``"_stream._lock"``.
-    """
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self" and parts:
-        return ".".join(reversed(parts))
-    return None
-
-
-_LOCKISH_FRAGMENTS = ("lock", "mutex", "cond", "cv")
-
-
-def _is_lockish_chain(chain: str) -> bool:
-    """Whether a ``with self...:`` context expression names a lock."""
-    last = chain.split(".")[-1].lower()
-    return any(frag in last for frag in _LOCKISH_FRAGMENTS)
-
-
-class MixedGuardRule(Rule):
-    """LOCK001: an attribute is either always locked or never locked.
-
-    Within one class, assignments to ``self._x`` that sometimes sit
-    inside ``with self._lock:`` and sometimes do not mean the lock
-    protects nothing — every unguarded writer can interleave with the
-    guarded ones.  ``__init__`` (construction happens-before
-    publication) and ``*_locked`` methods (the caller holds the lock,
-    per the house naming convention) are exempt.  The full-depth
-    version of this analysis — container mutators, read sites, guard
-    inference — lives in ``repro.races.lockset``; this rule is the
-    dependency-free linter twin covering binding-level writes.
-    """
-
-    code = "LOCK001"
-    description = "mixed guarded/unguarded mutation of one attribute"
-    scopes = _THREADED_PATHS
-
-    def _method_writes(self, method: ast.AST
-                       ) -> List[Tuple[str, bool, ast.AST]]:
-        """``(attr, under_lock, node)`` for binding writes in a method."""
-        out: List[Tuple[str, bool, ast.AST]] = []
-
-        def visit(node: ast.AST, held: bool) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                lockish = any(
-                    (chain := _self_attr_chain(item.context_expr))
-                    and _is_lockish_chain(chain)
-                    for item in node.items)
-                for stmt in node.body:
-                    visit(stmt, held or lockish)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                return  # nested defs run later, with unknown locks
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                chain = _self_attr_chain(target)
-                if chain and "." not in chain:
-                    out.append((chain, held, node))
-            for child in ast.iter_child_nodes(node):
-                visit(child, held)
-
-        for stmt in ast.iter_child_nodes(method):
-            visit(stmt, False)
-        return out
-
-    def check(self, path, tree, scoped):
-        """Flag attributes written both under a lock and bare."""
-        out = []
-        for node, symbol, _ in scoped:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            locked: Dict[str, ast.AST] = {}
-            bare: Dict[str, ast.AST] = {}
-            for item in node.body:
-                if not isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                if (item.name == "__init__"
-                        or item.name.endswith("_locked")):
-                    continue
-                for attr, held, site in self._method_writes(item):
-                    (locked if held else bare).setdefault(attr, site)
-            for attr in sorted(set(locked) & set(bare)):
-                out.append(self.violation(
-                    path, bare[attr], f"{symbol}.{attr}",
-                    f"self.{attr} is written under a lock (line "
-                    f"{getattr(locked[attr], 'lineno', 0)}) and bare "
-                    f"(line {getattr(bare[attr], 'lineno', 0)}); the "
-                    f"lock protects nothing"))
-        return out
-
-
 class ThreadLifecycleRule(Rule):
     """LOCK002: every thread needs a shutdown story.
 
@@ -548,6 +456,60 @@ class BareExceptRule(Rule):
         return out
 
 
+def _is_stub(node: ast.AST) -> bool:
+    """Whether a def's body is only ``...`` (Protocol members, overloads)."""
+    return all(isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)
+               and s.value.value is Ellipsis for s in node.body)
+
+
+class DocstringRule(Rule):
+    """D100-D103: public modules, classes and functions carry docstrings.
+
+    The static twin of the import-time meta-test in
+    ``tests/test_api_quality.py``: it needs no import of the package.
+    Only top-level defs and the bodies of public classes are checked;
+    a private class hides its members, and a def nested in a function
+    is an implementation detail.
+    """
+
+    code = "D100"
+    description = "missing docstring on a public module/class/function"
+    scopes = ("src/", "tools/")
+
+    def check(self, path, tree, scoped):
+        """Flag public definitions that open without a docstring."""
+        out = []
+        stem = path.stem
+        if ((not stem.startswith("_") or stem == "__init__")
+                and ast.get_docstring(tree) is None):
+            out.append(self.violation(path, tree, "<module>",
+                                      "missing docstring in public module"))
+        # id(def) -> whether it is a method, for every def the rule can
+        # reach: top-level ones, then the bodies of reached public classes.
+        reachable = {id(n): False for n in tree.body}
+        for node, symbol, _ in scoped:
+            if (id(node) not in reachable
+                    or not isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.ClassDef):
+                reachable.update((id(n), True) for n in node.body)
+                code, kind = "D101", "class"
+            elif _is_stub(node):
+                continue
+            elif reachable[id(node)]:
+                code, kind = "D102", "method"
+            else:
+                code, kind = "D103", "function"
+            if ast.get_docstring(node) is None:
+                out.append(self.violation(
+                    path, node, symbol, f"missing docstring in public {kind}",
+                    code=code))
+        return out
+
+
 RULES: List[Rule] = [
     WallClockRule(),
     GlobalRandomRule(),
@@ -555,10 +517,10 @@ RULES: List[Rule] = [
     AsyncSleepRule(),
     AsyncFileIoRule(),
     AsyncQueuePutRule(),
-    MixedGuardRule(),
     ThreadLifecycleRule(),
     MutableDefaultRule(),
     BareExceptRule(),
+    DocstringRule(),
 ]
 
 
