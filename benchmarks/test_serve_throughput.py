@@ -4,15 +4,14 @@ N client threads each run a closed loop (issue a request, wait for the
 reply, repeat) against a :class:`~repro.serve.BackgroundServer` — first a
 *cold* phase where every (flag, seed) pair is new, then a *warm* phase
 replaying the same pairs so every reply comes from the cache.  The bench
-records requests/sec and client-side latency percentiles for both phases
-to ``BENCH_serve.json`` at the repo root, and asserts the one shape that
-holds on any hardware — including the 1-core container this repo grows
+prints requests/sec and client-side latency percentiles for both phases
+(the repeated, spread-reporting serve numbers live in
+``perfbench/RESULTS.md``), and asserts the one shape that holds on any
+hardware — including the 1-core container this repo grows
 on: warm-cache throughput is strictly above cold, because a cache hit
 skips the simulation entirely.  No ``cpu_count`` gate.
 """
 
-import json
-import pathlib
 import threading
 import time
 
@@ -22,7 +21,6 @@ from conftest import print_comparison
 
 N_CLIENTS = 4
 REQUESTS_PER_CLIENT = 6
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
 def percentile(latencies, q):
@@ -93,8 +91,6 @@ def test_warm_cache_throughput_beats_cold(tmp_path, benchmark):
         "warm_over_cold_throughput": round(
             warm["requests_per_s"] / cold["requests_per_s"], 2),
     }
-    BENCH_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
     print_comparison(
         f"serve throughput: {N_CLIENTS} closed-loop clients x "
         f"{REQUESTS_PER_CLIENT} requests", [

@@ -19,7 +19,8 @@ from typing import List, Optional
 
 from ..flags.decompose import DecompositionError
 from ..sweep.spec import ACTIVITY, SweepCell
-from .report import AnalysisError, AnalysisReport, Issue, error
+from .report import AnalysisError, AnalysisReport, Issue, Severity, \
+    error, issues_summary
 from .scenarios import analyze_scenario
 
 
@@ -35,6 +36,17 @@ def check_cell(cell: SweepCell) -> List[Issue]:
     for report in cell_reports(cell, issues):
         issues.extend(report.issues)
     return issues
+
+
+def preflight_errors(cell: SweepCell) -> Optional[str]:
+    """The gate rule: a summary of the cell's ERROR findings, or ``None``.
+
+    ``None`` means the cell may be dispatched; anything else is the
+    text ``run_sweep``, the fabric and the service each put in their
+    refusal.  Warnings never refuse a cell.
+    """
+    failed = [i for i in check_cell(cell) if i.severity is Severity.ERROR]
+    return issues_summary(failed) if failed else None
 
 
 def cell_reports(cell: SweepCell,

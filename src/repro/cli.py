@@ -425,46 +425,62 @@ def _open_store(args: argparse.Namespace):
     return ResultStore(args.store)
 
 
-def _print_grid_result(spec, result) -> None:
+def _print_grid_result(result) -> None:
     """The per-cell table and the totals line ``sweep`` and ``fabric`` print."""
     from .viz import format_table
     print(format_table(
         ["cell", "run", "trials", "median", "correct", "cache"],
         result.table_rows(),
     ))
-    print(f"{spec.n_cells} cells x {spec.n_trials} trials: "
+    print(f"{result.spec.n_cells} cells x {result.spec.n_trials} trials: "
           f"computed {result.computed_trials}, "
           f"cached {result.cached_trials} "
           f"({result.workers} workers, {result.wall_seconds:.2f}s wall)")
+
+
+def _run_grid(args: argparse.Namespace, run, interrupted: str) -> int:
+    """Run a grid command with its ``--store`` open; return the exit code.
+
+    ``run(store)`` computes and prints the grid and returns its
+    :class:`~repro.sweep.SweepResult`.  The store is closed however the
+    run ends.  Ctrl-C prints ``interrupted`` and exits 130; otherwise
+    the exit code is 0 when every run reproduced its flag, else 1.
+    """
+    store = _open_store(args)
+    try:
+        result = run(store)
+    except KeyboardInterrupt:
+        print(interrupted, file=sys.stderr)
+        return 130
+    finally:
+        if store is not None:
+            store.close()
+    return 0 if result.all_correct else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import run_sweep
 
     spec = _grid_spec(args)
-    store = _open_store(args)
-    try:
+
+    def run(store):
         result = run_sweep(spec, workers=args.workers,
                            cache_dir=args.cache_dir,
                            store=store, store_tenant=args.store_tenant,
                            observe=args.observe,
                            backend=args.backend)
-    except KeyboardInterrupt:
-        print("sweep interrupted — worker pool cancelled, partial "
-              "results discarded", file=sys.stderr)
-        return 130
-    finally:
-        if store is not None:
-            store.close()
-    _print_grid_result(spec, result)
-    if args.observe:
-        for cell in result.cells:
-            rolled = cell.obs_rollup(cell.labels()[-1])
-            waits = rolled.get("acquire_blocked_total", 0.0)
-            print(f"  {cell.cell.describe():44s} "
-                  f"events={rolled.get('events_logged_total', 0):g} "
-                  f"blocked_acquires={waits:g}")
-    return 0 if result.all_correct else 1
+        _print_grid_result(result)
+        if args.observe:
+            for cell in result.cells:
+                rolled = cell.obs_rollup(cell.labels()[-1])
+                waits = rolled.get("acquire_blocked_total", 0.0)
+                print(f"  {cell.cell.describe():44s} "
+                      f"events={rolled.get('events_logged_total', 0):g} "
+                      f"blocked_acquires={waits:g}")
+        return result
+
+    return _run_grid(args, run, "sweep interrupted — worker pool "
+                                "cancelled, partial results discarded")
 
 
 def _parse_chaos_event(text: str):
@@ -518,29 +534,26 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         heartbeat_timeout_s=args.heartbeat_timeout,
     )
     chaos = ChaosPlan.of([_parse_chaos_event(c) for c in args.chaos])
-    store = _open_store(args)
-    coordinator = FabricCoordinator(spec, config, cache_dir=args.cache_dir,
-                                    store=store,
-                                    store_tenant=args.store_tenant,
-                                    observe=args.observe, chaos=chaos,
-                                    backend=args.backend)
-    try:
+
+    def run(store):
+        coordinator = FabricCoordinator(spec, config,
+                                        cache_dir=args.cache_dir,
+                                        store=store,
+                                        store_tenant=args.store_tenant,
+                                        observe=args.observe, chaos=chaos,
+                                        backend=args.backend)
         result = coordinator.run()
-    except KeyboardInterrupt:
-        print("fabric interrupted — workers terminated, partial results "
-              "discarded", file=sys.stderr)
-        return 130
-    finally:
-        if store is not None:
-            store.close()
-    _print_grid_result(spec, result)
-    stats = coordinator.stats
-    print(f"  leases {stats.leases} (retries {stats.retries}, "
-          f"hedges {stats.hedges}), steals {stats.steals} "
-          f"({stats.stolen_cells} cells), "
-          f"duplicates {stats.duplicates}, "
-          f"worker deaths {stats.worker_deaths}")
-    return 0 if result.all_correct else 1
+        _print_grid_result(result)
+        stats = coordinator.stats
+        print(f"  leases {stats.leases} (retries {stats.retries}, "
+              f"hedges {stats.hedges}), steals {stats.steals} "
+              f"({stats.stolen_cells} cells), "
+              f"duplicates {stats.duplicates}, "
+              f"worker deaths {stats.worker_deaths}")
+        return result
+
+    return _run_grid(args, run, "fabric interrupted — workers terminated, "
+                                "partial results discarded")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -56,8 +56,14 @@ from ..obs.metrics import MetricsRegistry
 from ..schedule.worksteal import steal_back_half
 from ..sim.backend import resolve_backend
 from ..sweep.cache import ResultCache
-from ..sweep.executor import _make_tasks, cell_address, validate_cells
-from ..sweep.results import CellResult, SweepResult, TrialRecord
+from ..sweep.executor import (
+    cached_cells,
+    complete_cells,
+    make_task,
+    open_cache,
+    validate_cells,
+)
+from ..sweep.results import SweepResult
 from ..sweep.spec import SweepSpec
 from .chaos import ChaosPlan
 from .remote import remote_worker_main
@@ -208,15 +214,10 @@ class FabricCoordinator:
         self.spec = spec
         self.config = config or FabricConfig()
         self.chaos = chaos or ChaosPlan()
-        if cache is None and cache_dir is not None:
-            cache = ResultCache(cache_dir)
-        if store is not None:
-            # Leased-cell results persist through the durable store as
-            # well as the on-disk cache (read-through both ways), so a
-            # fabric sweep survives process restarts like a local one.
-            from ..store import StoreTier
-            cache = StoreTier(store, cache=cache, tenant=store_tenant)
-        self.cache = cache
+        # Leased-cell results persist through the durable store as well
+        # as the on-disk cache (read-through both ways), so a fabric
+        # sweep survives process restarts like a local one.
+        self.cache = open_cache(cache, cache_dir, store, store_tenant)
         self.observe = observe
         self.registry = registry or MetricsRegistry()
         self.stats = FabricStats()
@@ -326,25 +327,13 @@ class FabricCoordinator:
         validate_cells(self._cells)
         started = self._now()
 
-        cell_results: List[Optional[CellResult]] = [None] * len(self._cells)
-        cached_trials = 0
-        pending: List[int] = []
-        for i, cell in enumerate(self._cells):
-            payload = None
-            if self.cache is not None:
-                payload = self.cache.get(
-                    cell_address(cell, self.spec, observe=self.observe,
-                                 backend=self._cell_backends[i]))
-            if payload is not None:
-                trials = [TrialRecord.from_payload(t)
-                          for t in payload["trials"]]
-                cell_results[i] = CellResult(cell=cell, trials=trials,
-                                             cached=True)
-                cached_trials += self.spec.n_trials
-                self.stats.cached_cells += 1
-                self._m_cells.inc(source="cache")
-            else:
-                pending.append(i)
+        results = cached_cells(self.cache, self.spec, self._cells,
+                               self._cell_backends, observe=self.observe)
+        pending = [i for i, r in enumerate(results) if r is None]
+        hits = len(results) - len(pending)
+        if hits:
+            self.stats.cached_cells += hits
+            self._m_cells.inc(hits, source="cache")
 
         if pending:
             self._remaining = set(pending)
@@ -355,25 +344,13 @@ class FabricCoordinator:
             finally:
                 self._shutdown()
 
-        for i, cell in enumerate(self._cells):
-            if cell_results[i] is not None:
-                continue
-            payloads = self._payloads[i]
-            if self.cache is not None:
-                self.cache.put(
-                    cell_address(cell, self.spec, observe=self.observe,
-                                 backend=self._cell_backends[i]),
-                    {"cell": cell.key_dict(), "trials": payloads})
-            cell_results[i] = CellResult(
-                cell=cell,
-                trials=[TrialRecord.from_payload(p) for p in payloads],
-                cached=False)
-
         return SweepResult(
             spec=self.spec,
-            cells=[c for c in cell_results if c is not None],
+            cells=complete_cells(self.cache, self.spec, self._cells,
+                                 self._cell_backends, results,
+                                 self._payloads, observe=self.observe),
             computed_trials=len(pending) * self.spec.n_trials,
-            cached_trials=cached_trials,
+            cached_trials=hits * self.spec.n_trials,
             wall_seconds=self._now() - started,
             workers=len(self.config.worker_names),
         )
@@ -656,8 +633,11 @@ class FabricCoordinator:
         self._next_lease_id += 1
         lease_id = self._next_lease_id
         now = self._now()
-        tasks = _make_tasks(cell, self.spec, self.observe,
-                            backend=self._cell_backends[cell_index])
+        tasks = [make_task(cell, seed=self.spec.seed,
+                           n_trials=self.spec.n_trials, trial=t,
+                           observe=self.observe,
+                           backend=self._cell_backends[cell_index])
+                 for t in range(self.spec.n_trials)]
         try:
             worker.conn.send((MSG_LEASE, lease_id, cell_index, tasks))
         except (BrokenPipeError, OSError):

@@ -19,8 +19,8 @@ Worker -> coordinator::
     ("result", worker, lease_id, cell_index, [payload, ...])
     ("error", worker, lease_id, cell_index, message)
 
-Every trial is executed by :func:`repro.sweep.executor.run_trial` — a
-pure function of its task dict — so *which* worker computes a cell can
+Every lease is executed by :func:`repro.sweep.executor.run_cell_tasks`,
+a pure function of its task dicts, so *which* worker computes a cell can
 never change its bytes; the coordinator is free to retry, hedge, and
 steal leases at will.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import List, Sequence
+from typing import Sequence
 
 from .chaos import (
     ChaosEvent,
@@ -88,7 +88,7 @@ def worker_main(conn, worker: str,
         chaos: this worker's slice of the chaos plan, already filtered
             via :meth:`~repro.fabric.chaos.ChaosPlan.for_worker`.
     """
-    from ..sweep.executor import run_cell_tasks, run_trial
+    from ..sweep.executor import run_cell_tasks
 
     delay = startup_delay(chaos)
     if delay:
@@ -114,33 +114,16 @@ def worker_main(conn, worker: str,
         if stall:
             time.sleep(stall)  # heartbeats stop for the duration
 
-        payloads: List[dict] = []
-        failed = False
-        if tasks and all(t.get("backend", "reference") == "vector"
-                         for t in tasks):
-            # A vector lease is one whole-cell batch: all trials
-            # advance together, so heartbeats arrive in a burst when
-            # the batch lands rather than trial by trial.
-            try:
-                payloads = run_cell_tasks(tasks)
-            except Exception as exc:
-                conn.send((MSG_ERROR, worker, lease_id, cell_index,
-                           f"{type(exc).__name__}: {exc}"))
-                failed = True
-            else:
-                for task in tasks:
-                    conn.send((MSG_BEAT, worker, lease_id, task["trial"]))
-        else:
-            for task in tasks:
-                try:
-                    payloads.append(run_trial(task))
-                except Exception as exc:
-                    conn.send((MSG_ERROR, worker, lease_id, cell_index,
-                               f"{type(exc).__name__}: {exc}"))
-                    failed = True
-                    break
-                conn.send((MSG_BEAT, worker, lease_id, task["trial"]))
-        if failed:
+        # Reference trials heartbeat one by one; a vector lease is one
+        # whole-cell batch, so its heartbeats arrive in a burst when the
+        # batch lands.
+        try:
+            payloads = run_cell_tasks(
+                tasks, on_trial=lambda task: conn.send(
+                    (MSG_BEAT, worker, lease_id, task["trial"])))
+        except Exception as exc:
+            conn.send((MSG_ERROR, worker, lease_id, cell_index,
+                       f"{type(exc).__name__}: {exc}"))
             continue
         if drops_response(chaos, ordinal):
             continue  # the work happened; the reply evaporates

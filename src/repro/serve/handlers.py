@@ -366,15 +366,14 @@ class ServeHandlers:
         ``static_analysis_failed`` with the findings in the message, so
         clients learn *why* before any executor time is spent.
         """
-        from ..analyze.preflight import check_cell
-        from ..analyze.report import Severity, issues_summary
-        failed = [i for i in check_cell(cell)
-                  if i.severity is Severity.ERROR]
-        if failed:
+        # Deferred: importing repro.analyze would lengthen server start-up.
+        from ..analyze.preflight import preflight_errors
+        errors = preflight_errors(cell)
+        if errors:
             raise ProtocolError(
                 422, "static_analysis_failed",
                 f"cell {cell.describe()!r} is statically invalid: "
-                f"{issues_summary(failed)}")
+                f"{errors}")
 
     def _backend(self, requested: Optional[str], cell, *,
                  observe: bool) -> str:

@@ -8,13 +8,14 @@ that maps malformed input onto structured HTTP error bodies (a bad
 request is *always* a typed JSON error with a 4xx status, never a 500
 with a stack trace).
 
-Determinism contract: :meth:`RunRequest.task` builds *exactly* the
-task dict :func:`repro.sweep.executor.run_trial` receives from
-:func:`repro.sweep.executor.run_sweep` for a one-trial sweep of the
-same cell, and :meth:`RunRequest.address` is the same content address
-:func:`repro.sweep.executor.cell_address` computes.  A served trial is
-therefore byte-identical to the in-process one, and the server's cache
-entries interoperate with ``repro sweep --cache-dir`` entries.
+Determinism contract: :meth:`RunRequest.task` and
+:meth:`RunRequest.address` are :func:`repro.sweep.executor.make_task`
+and :func:`repro.sweep.executor.cell_address` for trial 0 of a
+one-trial sweep of the same cell — the very functions
+:func:`repro.sweep.executor.run_sweep` builds its tasks and cache keys
+with.  A served trial is therefore byte-identical to the in-process
+one, and the server's cache entries interoperate with ``repro sweep
+--cache-dir`` entries.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..agents.student import FillStyle
 from ..schedule.runner import AcquirePolicy
 from ..sim.backend import BACKEND_CHOICES
-from ..sweep.cache import content_address
+from ..sweep.executor import cell_address, make_task
 from ..sweep.spec import (
     ACTIVITY,
     SweepCell,
@@ -271,37 +272,21 @@ class RunRequest:
     def task(self, *, backend: str = "reference") -> Dict[str, Any]:
         """The executor task dict: trial 0 of a one-trial batch.
 
-        Matches :func:`repro.sweep.executor.run_sweep`'s internal task
-        layout exactly (a regression test pins the two together), so
-        the served payload is byte-identical to the in-process one.
         ``backend`` is the *resolved* engine name (the handler applies
-        the server default and ``auto`` fallback first); reference
-        tasks carry no ``"backend"`` key, mirroring the executor.
+        the server default and ``auto`` fallback first).
         """
-        cell = self.cell()
-        task = {"cell": cell.key_dict(), "cell_key": cell.key(),
-                "seed": self.seed, "n_trials": 1, "trial": 0,
-                "observe": self.observe}
-        if backend != "reference":
-            task["backend"] = backend
-        return task
+        return make_task(self.cell(), seed=self.seed, n_trials=1, trial=0,
+                         observe=self.observe, backend=backend)
 
     def address(self, *, backend: str = "reference") -> str:
         """The cache address — identical to the sweep layer's.
 
         ``POST /run`` is defined as trial 0 of a one-trial sweep of
         this cell, so the server and ``repro sweep --cache-dir`` read
-        and write the very same entries.  Like
-        :func:`repro.sweep.executor.cell_address`, a non-reference
-        ``backend`` folds into the address so metric-only vector
-        payloads never collide with reference ones.
+        and write the very same entries.
         """
-        key: Dict[str, Any] = {"cell": self.cell().key_dict(),
-                               "n_trials": 1, "seed": self.seed,
-                               "observe": self.observe}
-        if backend != "reference":
-            key["backend"] = backend
-        return content_address(key)
+        return cell_address(self.cell(), seed=self.seed, n_trials=1,
+                            observe=self.observe, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -368,20 +353,17 @@ class TaskRequest:
                    timeout_s=_as_timeout(body))
 
     def task(self, *, backend: str = "reference") -> Dict[str, Any]:
-        """The executor task dict, identical to ``run_sweep``'s layout.
+        """The executor task dict, built by ``run_sweep``'s own builder.
 
         The cell dict is re-canonicalized through the parsed
         :class:`~repro.sweep.spec.SweepCell` (not echoed from the
         wire), so key order or JSON quirks in the request cannot change
         the trial's seed stream or cache identity.  ``backend`` is the
-        resolved engine; reference tasks carry no ``"backend"`` key.
+        resolved engine.
         """
-        task = {"cell": self.cell.key_dict(), "cell_key": self.cell.key(),
-                "seed": self.seed, "n_trials": self.n_trials,
-                "trial": self.trial, "observe": self.observe}
-        if backend != "reference":
-            task["backend"] = backend
-        return task
+        return make_task(self.cell, seed=self.seed, n_trials=self.n_trials,
+                         trial=self.trial, observe=self.observe,
+                         backend=backend)
 
 
 def _as_tuple(body: Dict[str, Any], key: str, default: tuple,

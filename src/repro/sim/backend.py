@@ -1,19 +1,19 @@
-"""The engine-backend contract: one trial-execution interface, N engines.
+"""The engine-backend contract: which engine runs a trial, and why.
 
-The trial-execution path used to be a single implementation — the
-event-loop :class:`~repro.sim.engine.Simulator` driven once per trial by
-:func:`repro.sweep.executor.run_trial`.  This module names that path the
-**reference backend** and defines the seam along which faster engines
-plug in.  The first alternative is the structure-of-arrays numpy engine
-in :mod:`repro.sim.vector`, which advances every trial of a sweep cell
-simultaneously.
+Trials run on one of two engines.  The **reference** engine is the
+event-loop :class:`~repro.sim.engine.Simulator`, driven once per trial
+by :func:`repro.sweep.executor.run_trial`.  The **vector** engine is the
+structure-of-arrays numpy engine in :mod:`repro.sim.vector`, which
+advances every trial of a sweep cell simultaneously.  The executor is
+the one place that dispatches between them: ``run_trial`` and
+:func:`~repro.sweep.executor.run_cell_tasks` route each task by its
+``"backend"`` key.  This module holds the selection rules.
 
 The contract
 ------------
 
-A backend executes sweep *tasks*: the JSON-safe ``(cell, trial)`` dicts
-:func:`repro.sweep.executor.run_sweep` builds (see
-:func:`repro.sweep.executor.run_trial`).  Every backend must honor the
+An engine executes sweep *tasks*: the JSON-safe ``(cell, trial)`` dicts
+:func:`repro.sweep.executor.make_task` builds.  Both engines honor the
 same two guarantees the rest of the stack is built on:
 
 1. **Seed identity.**  Trial ``t`` of a cell draws from the stream
@@ -22,11 +22,11 @@ same two guarantees the rest of the stack is built on:
    the order the reference engine would, so the *metrics* of trial
    ``t`` are identical bit for bit across backends.
 2. **Purity.**  A task's result is a function of the task dict alone —
-   not of which backend ran it in which process at what batch size —
+   not of which engine ran it in which process at what batch size —
    so caching, retries, hedging, and work stealing stay sound.
 
-What backends may differ on is the *payload shape*: the reference
-backend emits full event traces; the vector backend emits metric-only
+What engines may differ on is the *payload shape*: the reference
+engine emits full event traces; the vector engine emits metric-only
 payloads (no ``"trace"`` key).  That is why a cell's cache address
 folds in the backend whenever it is not the reference one (see
 :func:`repro.sweep.executor.cell_address`) — the two payload families
@@ -45,19 +45,15 @@ or attached observers (vector runs produce no event stream); those
 cells always run on the reference engine.
 
 This module imports nothing heavy at module level so that
-``repro.sim`` can re-export it without creating import cycles; the
-executor and vector engine load lazily inside methods.
+``repro.sim`` can re-export it without creating import cycles.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 LOG = logging.getLogger("repro.sim.backend")
-
-#: Concrete engines, by name.
-BACKEND_NAMES = ("reference", "vector")
 
 #: What ``--backend`` accepts: the engines plus per-cell resolution.
 BACKEND_CHOICES = ("reference", "vector", "auto")
@@ -116,90 +112,3 @@ def resolve_backend(requested: str, cell: Mapping[str, Any], *,
              "scenario %s: %s", cell.get("flag"), cell.get("scenario"),
              reason)
     return "reference"
-
-
-class EngineBackend:
-    """One trial-execution engine behind the backend contract.
-
-    Subclasses implement :meth:`run_trial` (and may override
-    :meth:`run_cell` with a batched fast path) and :meth:`supports`.
-    """
-
-    #: The registry name of this engine.
-    name: str = "abstract"
-
-    def supports(self, cell: Mapping[str, Any], *,
-                 observe: bool = False) -> Optional[str]:
-        """``None`` when this engine can run the cell, else the reason not."""
-        raise NotImplementedError
-
-    def run_trial(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one (cell, trial) task; pure function of the dict."""
-        raise NotImplementedError
-
-    def run_cell(self, tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Execute every trial task of one cell, in task order.
-
-        The default just loops :meth:`run_trial`; batched engines
-        override this with a whole-cell fast path.
-        """
-        return [self.run_trial(task) for task in tasks]
-
-
-class ReferenceBackend(EngineBackend):
-    """The event-loop :class:`~repro.sim.engine.Simulator`, one trial at
-    a time — the didactic implementation every other engine is pinned
-    against."""
-
-    name = "reference"
-
-    def supports(self, cell: Mapping[str, Any], *,
-                 observe: bool = False) -> Optional[str]:
-        """The reference engine runs everything."""
-        return None
-
-    def run_trial(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """Delegate to the executor's event-loop trial path."""
-        from ..sweep.executor import run_trial
-        stripped = {k: v for k, v in task.items() if k != "backend"}
-        return run_trial(stripped)
-
-
-class VectorBackend(EngineBackend):
-    """The structure-of-arrays numpy engine (:mod:`repro.sim.vector`)."""
-
-    name = "vector"
-
-    def supports(self, cell: Mapping[str, Any], *,
-                 observe: bool = False) -> Optional[str]:
-        """Refuses fault plans and observed runs; everything else runs."""
-        return vector_unsupported_reason(cell, observe=observe)
-
-    def run_trial(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one trial on the vector engine."""
-        from .vector import run_vector_trial
-        return run_vector_trial(task)
-
-    def run_cell(self, tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Run every trial of the cell in one batched pass."""
-        from .vector import run_vector_cell
-        return run_vector_cell(tasks)
-
-
-def get_backend(name: str) -> EngineBackend:
-    """The engine registered under a concrete backend name.
-
-    ``"auto"`` is deliberately not accepted here: resolution happens
-    per cell via :func:`resolve_backend` *before* tasks are built, so
-    a task dict always names a concrete engine.
-
-    Raises:
-        BackendError: for names outside :data:`BACKEND_NAMES`.
-    """
-    if name == "reference":
-        return ReferenceBackend()
-    if name == "vector":
-        return VectorBackend()
-    raise BackendError(
-        f"unknown backend {name!r}; concrete backends: "
-        f"{list(BACKEND_NAMES)}")

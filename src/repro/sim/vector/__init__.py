@@ -7,14 +7,13 @@ worked guide in ``docs/backends.md``.
 
 Public surface:
 
-- :func:`run_vector_cell` — all trials of one cell as one batch;
-- :func:`run_vector_trial` — one executor task (same shape as
-  :func:`repro.sweep.executor.run_trial`, minus the trace);
+- :func:`run_vector_cell` — all trials of one cell as one batch (a
+  single executor task is a batch of one);
 - :func:`build_cell_plan` / :class:`CellPlan` / :class:`RunPlan` — the
   static per-cell compilation the batch paths share.
 """
 
-from .engine import run_vector_cell, run_vector_trial
+from .engine import run_vector_cell
 from .plan import CellPlan, RunPlan, build_cell_plan
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "RunPlan",
     "build_cell_plan",
     "run_vector_cell",
-    "run_vector_trial",
 ]

@@ -35,8 +35,8 @@ def run_vector_cell(tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Execute every given trial task of one cell in a single batch.
 
     Args:
-        tasks: executor-format task dicts (see
-            :func:`repro.sweep.executor.run_trial`) that must all name
+        tasks: executor task dicts (see
+            :func:`repro.sweep.executor.make_task`) that must all name
             the same cell, seed, and trial count; the trial indices may
             be any subset of the batch.
 
@@ -91,12 +91,3 @@ def run_vector_cell(tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             runs_by_trial[b][run.label] = payload
     return [{"trial": t, "runs": runs_by_trial[b]}
             for b, t in enumerate(trials)]
-
-
-def run_vector_trial(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one (cell, trial) task on the vector engine.
-
-    The single-trial convenience over :func:`run_vector_cell` — same
-    contract as :func:`repro.sweep.executor.run_trial`, minus the trace.
-    """
-    return run_vector_cell([task])[0]

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..classroom.discussion import LESSON_INTROS, Lesson
 from ..sim.export import import_trace
 from ..sim.trace import Trace
+from ..sweep.executor import make_task
 from ..sweep.spec import ACTIVITY, SweepCell
 from ..viz.bars import sparkline
 from ..viz.gantt import render_gantt
@@ -136,8 +137,7 @@ def activity_cell(*, flag: str = DEFAULT_FLAG,
 def _collect_local(cell: SweepCell, seed: int
                    ) -> Tuple[List[StreamEvent], int]:
     """Run the trial in-process; returns (frames, dropped count)."""
-    task = {"cell": cell.key_dict(), "cell_key": cell.key(),
-            "seed": seed, "n_trials": 1, "trial": 0, "observe": False}
+    task = make_task(cell, seed=seed, n_trials=1, trial=0)
     stream = RunStream(f"tutor-{cell.flag}-{seed}")
     sub = stream.subscribe()
 

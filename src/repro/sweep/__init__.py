@@ -11,7 +11,9 @@ batch path those aggregations go through:
   per-trial streams spawned via ``numpy.random.SeedSequence``, never
   ``seed + t``, so trials are independent and batches never collide.
 - :mod:`~repro.sweep.executor` — :func:`run_sweep`, a process-pool
-  fan-out whose parallel runs are byte-identical to serial ones.
+  fan-out whose parallel runs are byte-identical to serial ones, and
+  the one definition of a trial task (:func:`make_task`) and a cell's
+  cache address (:func:`cell_address`).
 - :mod:`~repro.sweep.cache` — a content-addressed on-disk result
   cache: warm re-runs of a benchmark or notebook recompute nothing.
 - :mod:`~repro.sweep.results` — typed records and per-cell metric /
@@ -28,7 +30,13 @@ Quickstart::
 """
 
 from .cache import CacheError, ResultCache, content_address
-from .executor import cell_address, run_sweep, run_trial, validate_cells
+from .executor import (
+    cell_address,
+    make_task,
+    run_sweep,
+    run_trial,
+    validate_cells,
+)
 from .results import CellResult, RunRecord, SweepResult, TrialRecord
 from .seeding import key_entropy, trial_rngs, trial_seed_sequences
 from .spec import (
@@ -58,6 +66,7 @@ __all__ = [
     "fault_plan_from_dicts",
     "fault_plan_to_dicts",
     "key_entropy",
+    "make_task",
     "run_sweep",
     "run_trial",
     "trial_rngs",

@@ -29,11 +29,11 @@ import concurrent.futures
 import multiprocessing
 import os
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from ..sim.backend import get_backend, resolve_backend
+from ..sim.backend import BackendError, resolve_backend
 from .cache import ResultCache, content_address
 from .results import CellResult, SweepResult, TrialRecord
 from .seeding import trial_seed_sequences
@@ -72,14 +72,6 @@ def _run_payload(result) -> Dict[str, Any]:
     return payload
 
 
-def _tee_factory(first, second):
-    """Compose two observer factories into one that tees their products."""
-    def make():
-        from ..obs import TeeObserver
-        return TeeObserver(first(), second())
-    return make
-
-
 def run_trial(task: Dict[str, Any],
               observer_factory: Optional[Any] = None) -> Dict[str, Any]:
     """Execute one (cell, trial) task; pure function of the task dict.
@@ -89,10 +81,11 @@ def run_trial(task: Dict[str, Any],
     no process-global state, or parallel runs stop being byte-identical
     to serial ones.
 
-    A task may carry a ``"backend"`` key naming a concrete engine (see
-    :mod:`repro.sim.backend`); tasks without one run on the reference
-    event-loop engine, whose path and payloads are byte-for-byte what
-    they were before backends existed.
+    A task built with ``backend="vector"`` (see :func:`make_task`) runs
+    on the vector engine as a batch of one; tasks without a
+    ``"backend"`` key run on the reference event-loop engine, whose
+    path and payloads are byte-for-byte what they were before backends
+    existed.
 
     ``observer_factory`` attaches an extra read-only tap to every run
     (one fresh observer per run, tee'd with the ``observe`` digest when
@@ -101,13 +94,23 @@ def run_trial(task: Dict[str, Any],
     how :mod:`repro.stream` watches a trial live without forking the
     execution path.  In-process callers only: the pool path always
     ships bare tasks.
+
+    Raises:
+        BackendError: when the task names an engine other than
+            ``"reference"`` or ``"vector"``.
     """
-    if task.get("backend", "reference") == "vector":
-        from ..sim.vector import run_vector_trial
-        return run_vector_trial(task)
+    backend = task.get("backend", "reference")
+    if backend == "vector":
+        from ..sim.vector import run_vector_cell
+        return run_vector_cell([task])[0]
+    if backend != "reference":
+        raise BackendError(
+            f"unknown backend {backend!r} in task; a task names a "
+            f"concrete engine: 'reference' or 'vector'")
     from ..agents import make_team
     from ..agents.student import FillStyle
     from ..flags import get_flag
+    from ..obs import RunObserver, TeeObserver
     from ..schedule import (
         AcquirePolicy,
         get_scenario,
@@ -126,46 +129,59 @@ def run_trial(task: Dict[str, Any],
     style = FillStyle[cell["style"]]
     fault_plan = (None if cell["faults"] is None
                   else fault_plan_from_dicts(cell["faults"]))
-    observe = task.get("observe", False)
+
+    # One fresh observer per run: the deterministic digest first, then
+    # the caller's tap, tee'd when both are asked for.
+    factory = RunObserver if task.get("observe", False) else None
+    if observer_factory is not None:
+        factory = (observer_factory if factory is None else
+                   lambda: TeeObserver(RunObserver(), observer_factory()))
 
     team = make_team(f"trial{trial}", cell["team_size"], rng,
                      colors=list(spec.colors_used()), copies=cell["copies"])
 
     if cell["scenario"] == ACTIVITY:
-        factory = None
-        if observe:
-            from ..obs import RunObserver
-            factory = RunObserver
-        if observer_factory is not None:
-            factory = (observer_factory if factory is None
-                       else _tee_factory(factory, observer_factory))
         results = run_core_activity(spec, team, rng, style=style,
                                     policy=policy, observer_factory=factory)
         runs = {label: _run_payload(r) for label, r in results.items()}
     else:
-        observer = None
-        if observe:
-            from ..obs import RunObserver
-            observer = RunObserver()
-        if observer_factory is not None:
-            extra = observer_factory()
-            if observer is None:
-                observer = extra
-            else:
-                from ..obs import TeeObserver
-                observer = TeeObserver(observer, extra)
         r = run_scenario(get_scenario(cell["scenario"]), spec, team, rng,
                          rows=cell["rows"], cols=cell["cols"], style=style,
                          policy=policy, fault_plan=fault_plan,
-                         observer=observer)
+                         observer=None if factory is None else factory())
         runs = {r.label: _run_payload(r)}
     return {"trial": trial, "runs": runs}
 
 
-def cell_address(cell: SweepCell, spec: SweepSpec, *,
+def make_task(cell: SweepCell, *, seed: int, n_trials: int, trial: int,
+              observe: bool = False,
+              backend: str = "reference") -> Dict[str, Any]:
+    """The task dict for trial ``trial`` of an ``n_trials``-trial cell.
+
+    The one definition of the task layout: ``run_sweep``, the fabric
+    coordinator and the service's ``/run`` and ``/task`` endpoints all
+    build their tasks here, so a trial computed on any of those paths
+    is byte-identical to the others.  ``backend`` is a *resolved*
+    engine name (see :func:`repro.sim.backend.resolve_backend`); it is
+    recorded only when it is not the reference engine, so reference
+    tasks keep the pre-backend layout.
+    """
+    task: Dict[str, Any] = {
+        "cell": cell.key_dict(), "cell_key": cell.key(), "seed": seed,
+        "n_trials": n_trials, "trial": trial, "observe": observe,
+    }
+    if backend != "reference":
+        task["backend"] = backend
+    return task
+
+
+def cell_address(cell: SweepCell, *, seed: int, n_trials: int,
                  observe: bool = False, backend: str = "reference") -> str:
     """The content address of one cell's full trial payload.
 
+    The one definition of the cache key, shared by ``run_sweep``, the
+    fabric coordinator and the service (a served ``/run`` is trial 0 of
+    a one-trial cell), so all of them read and write the same entries.
     The backend folds into the address only when it is not the
     reference engine: reference addresses are byte-identical to what
     they were before backends existed (warm caches stay warm), while
@@ -174,8 +190,8 @@ def cell_address(cell: SweepCell, spec: SweepSpec, *,
     """
     key: Dict[str, Any] = {
         "cell": cell.key_dict(),
-        "n_trials": spec.n_trials,
-        "seed": spec.seed,
+        "n_trials": n_trials,
+        "seed": seed,
         "observe": observe,
     }
     if backend != "reference":
@@ -183,34 +199,35 @@ def cell_address(cell: SweepCell, spec: SweepSpec, *,
     return content_address(key)
 
 
-def _make_tasks(cell: SweepCell, spec: SweepSpec, observe: bool,
-                backend: str = "reference") -> List[Dict[str, Any]]:
-    key_dict = cell.key_dict()
-    tasks = [
-        {"cell": key_dict, "cell_key": cell.key(), "seed": spec.seed,
-         "n_trials": spec.n_trials, "trial": t, "observe": observe}
-        for t in range(spec.n_trials)
-    ]
-    if backend != "reference":
-        # Reference task dicts stay byte-identical to the pre-backend
-        # layout (serve pins this); only non-default engines are named.
-        for task in tasks:
-            task["backend"] = backend
-    return tasks
+def run_cell_tasks(tasks: List[Dict[str, Any]],
+                   on_trial: Optional[Callable[[Dict[str, Any]], None]]
+                   = None) -> List[Dict[str, Any]]:
+    """Execute all trial tasks of one cell, in task order.
 
-
-def run_cell_tasks(tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Execute all trial tasks of one cell on its engine's batch path.
-
-    The whole-cell unit the executor (and fabric workers) ship when a
-    cell resolved to a batching backend: one call amortizes plan
-    compilation and RNG batching across every trial of the cell.
+    The whole-cell unit the executor ships for vector cells and fabric
+    workers run per lease.  Vector tasks run as one batch, amortizing
+    plan compilation and RNG batching across every trial of the cell;
+    all other tasks go through :func:`run_trial` one at a time.
+    ``on_trial(task)`` is called as each task's payload is ready — per
+    trial on the reference engine, in one burst after a vector batch.
     Importable at module top level for pickle-by-reference.
+
+    Raises:
+        BackendError: when the tasks name an unknown engine.
     """
-    if not tasks:
-        return []
-    engine = get_backend(tasks[0].get("backend", "reference"))
-    return engine.run_cell(tasks)
+    if tasks and tasks[0].get("backend") == "vector":
+        from ..sim.vector import run_vector_cell
+        payloads = run_vector_cell(tasks)
+        if on_trial is not None:
+            for task in tasks:
+                on_trial(task)
+        return payloads
+    payloads = []
+    for task in tasks:
+        payloads.append(run_trial(task))
+        if on_trial is not None:
+            on_trial(task)
+    return payloads
 
 
 def validate_cells(cells: List[SweepCell]) -> None:
@@ -227,8 +244,7 @@ def validate_cells(cells: List[SweepCell]) -> None:
     """
     # Deferred import: repro.analyze depends on repro.sweep.spec, so a
     # module-level import here would tangle package initialization.
-    from ..analyze.preflight import check_cell
-    from ..analyze.report import Severity, issues_summary
+    from ..analyze.preflight import preflight_errors
 
     for cell in cells:
         if cell.scenario == ACTIVITY and cell.fault_plan is not None:
@@ -236,13 +252,85 @@ def validate_cells(cells: List[SweepCell]) -> None:
                 f"cell {cell.describe()!r}: fault plans apply to single "
                 f"scenarios, not ACTIVITY cells"
             )
-        failed = [i for i in check_cell(cell)
-                  if i.severity is Severity.ERROR]
-        if failed:
+        errors = preflight_errors(cell)
+        if errors:
             raise SweepError(
                 f"cell {cell.describe()!r} failed static analysis: "
-                f"{issues_summary(failed)}"
+                f"{errors}"
             )
+
+
+def open_cache(cache: Optional[ResultCache] = None,
+               cache_dir: Optional[Union[str, "os.PathLike"]] = None,
+               store: Optional[Any] = None,
+               store_tenant: str = "public") -> Optional[Any]:
+    """The result tier a sweep reads and fills, or ``None`` for none.
+
+    ``cache`` as given, else a :class:`ResultCache` at ``cache_dir``;
+    with a ``store``, that cache (if any) is wrapped in a read-through
+    :class:`~repro.store.StoreTier` under ``store_tenant``.
+    """
+    if cache is None and cache_dir is not None:
+        cache = ResultCache(cache_dir)
+    if store is not None:
+        from ..store import StoreTier
+        cache = StoreTier(store, cache=cache, tenant=store_tenant)
+    return cache
+
+
+def _address(spec: SweepSpec, cell: SweepCell, backend: str,
+             observe: bool) -> str:
+    return cell_address(cell, seed=spec.seed, n_trials=spec.n_trials,
+                        observe=observe, backend=backend)
+
+
+def cached_cells(cache: Optional[Any], spec: SweepSpec,
+                 cells: List[SweepCell], engines: List[str], *,
+                 observe: bool) -> List[Optional[CellResult]]:
+    """Each cell's cached result, or ``None`` where it must be computed.
+
+    ``engines[i]`` is cell ``i``'s resolved backend; it is part of the
+    cell's address.  Without a cache every slot is ``None``.
+    """
+    results: List[Optional[CellResult]] = [None] * len(cells)
+    if cache is None:
+        return results
+    for i, cell in enumerate(cells):
+        payload = cache.get(_address(spec, cell, engines[i], observe))
+        if payload is not None:
+            results[i] = CellResult(
+                cell=cell,
+                trials=[TrialRecord.from_payload(t)
+                        for t in payload["trials"]],
+                cached=True)
+    return results
+
+
+def complete_cells(cache: Optional[Any], spec: SweepSpec,
+                   cells: List[SweepCell], engines: List[str],
+                   results: List[Optional[CellResult]],
+                   payloads: Mapping[int, List[Dict[str, Any]]], *,
+                   observe: bool) -> List[CellResult]:
+    """Fill every ``None`` slot of ``results`` from computed payloads.
+
+    ``payloads[i]`` holds cell ``i``'s trial payloads in trial order;
+    each is written back to the cache (when there is one) under the
+    address :func:`cached_cells` read, then wrapped as an uncached
+    :class:`CellResult`.  Returns the completed list, in grid order.
+    """
+    done: List[CellResult] = []
+    for i, cell in enumerate(cells):
+        result = results[i]
+        if result is None:
+            if cache is not None:
+                cache.put(_address(spec, cell, engines[i], observe),
+                          {"cell": cell.key_dict(), "trials": payloads[i]})
+            result = CellResult(
+                cell=cell,
+                trials=[TrialRecord.from_payload(p) for p in payloads[i]],
+                cached=False)
+        done.append(result)
+    return done
 
 
 def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -310,11 +398,7 @@ def run_sweep(
     """
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
-    if store is not None:
-        from ..store import StoreTier
-        cache = StoreTier(store, cache=cache, tenant=store_tenant)
+    cache = open_cache(cache, cache_dir, store, store_tenant)
 
     cells = spec.cells()
     validate_cells(cells)
@@ -322,78 +406,45 @@ def run_sweep(
                for cell in cells]
 
     started = time.perf_counter()
-    cell_results: List[Optional[CellResult]] = [None] * len(cells)
-    pending: List[tuple] = []  # (cell_index, task) — reference cells
-    batches: List[tuple] = []  # (cell_index, [tasks]) — batching cells
-    cached_trials = 0
-
+    results = cached_cells(cache, spec, cells, engines, observe=observe)
+    # One pool unit per reference trial, one per whole vector cell.
+    units: List[tuple] = []  # (cell_index, [task, ...])
     for i, cell in enumerate(cells):
-        payload = None
-        if cache is not None:
-            payload = cache.get(cell_address(cell, spec, observe=observe,
-                                             backend=engines[i]))
-        if payload is not None:
-            trials = [TrialRecord.from_payload(t) for t in payload["trials"]]
-            cell_results[i] = CellResult(cell=cell, trials=trials,
-                                         cached=True)
-            cached_trials += spec.n_trials
-        elif engines[i] == "reference":
-            for task in _make_tasks(cell, spec, observe):
-                pending.append((i, task))
-        else:
-            batches.append((i, _make_tasks(cell, spec, observe,
-                                           backend=engines[i])))
-
-    # Execute every uncached trial, then reassemble in task order so the
-    # result never depends on completion order.  Reference cells fan
-    # out per trial; batching backends ship one whole cell per unit.
-    trial_payloads: Dict[tuple, Dict[str, Any]] = {}
-
-    def _store_batch(i: int, payloads: List[Dict[str, Any]]) -> None:
-        for p in payloads:
-            trial_payloads[(i, p["trial"])] = p
-
-    if pending or batches:
-        if workers == 1 or len(pending) + len(batches) == 1:
-            for i, task in pending:
-                trial_payloads[(i, task["trial"])] = run_trial(task)
-            for i, tasks in batches:
-                _store_batch(i, run_cell_tasks(tasks))
-        else:
-            with _pool(workers) as pool:
-                futures: Dict[concurrent.futures.Future, tuple] = {
-                    pool.submit(run_trial, task): (i, task["trial"])
-                    for i, task in pending
-                }
-                batch_futures = {
-                    pool.submit(run_cell_tasks, tasks): i
-                    for i, tasks in batches
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    trial_payloads[futures[fut]] = fut.result()
-                for fut in concurrent.futures.as_completed(batch_futures):
-                    _store_batch(batch_futures[fut], fut.result())
-
-    for i, cell in enumerate(cells):
-        if cell_results[i] is not None:
+        if results[i] is not None:
             continue
-        payloads = [trial_payloads[(i, t)] for t in range(spec.n_trials)]
-        if cache is not None:
-            cache.put(cell_address(cell, spec, observe=observe,
-                                   backend=engines[i]),
-                      {"cell": cell.key_dict(), "trials": payloads})
-        cell_results[i] = CellResult(
-            cell=cell,
-            trials=[TrialRecord.from_payload(p) for p in payloads],
-            cached=False,
-        )
+        tasks = [make_task(cell, seed=spec.seed, n_trials=spec.n_trials,
+                           trial=t, observe=observe, backend=engines[i])
+                 for t in range(spec.n_trials)]
+        if engines[i] == "reference":
+            units.extend((i, [task]) for task in tasks)
+        else:
+            units.append((i, tasks))
+
+    # Execute every uncached trial, then reassemble in trial order so
+    # the result never depends on completion order.
+    payloads: Dict[int, List[Any]] = {
+        i: [None] * spec.n_trials for i, r in enumerate(results) if r is None}
+
+    def _store(i: int, trial_payloads: List[Dict[str, Any]]) -> None:
+        for p in trial_payloads:
+            payloads[i][p["trial"]] = p
+
+    if workers == 1 or len(units) <= 1:
+        for i, tasks in units:
+            _store(i, run_cell_tasks(tasks))
+    else:
+        with _pool(workers) as pool:
+            futures = {pool.submit(run_cell_tasks, tasks): i
+                       for i, tasks in units}
+            for fut in concurrent.futures.as_completed(futures):
+                _store(futures[fut], fut.result())
 
     return SweepResult(
         spec=spec,
-        cells=[c for c in cell_results if c is not None],
-        computed_trials=(len(pending)
-                         + sum(len(tasks) for _, tasks in batches)),
-        cached_trials=cached_trials,
+        cells=complete_cells(cache, spec, cells, engines, results, payloads,
+                             observe=observe),
+        computed_trials=sum(len(p) for p in payloads.values()),
+        cached_trials=spec.n_trials * (len(cells) - len(payloads)),
         wall_seconds=time.perf_counter() - started,
         workers=workers,
     )

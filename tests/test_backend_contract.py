@@ -1,9 +1,10 @@
-"""The backend selection contract: names, fallback, refusal, logging.
+"""The backend selection contract: names, dispatch, fallback, refusal.
 
 Pins the rules documented in :mod:`repro.sim.backend` and
 ``docs/backends.md``: ``reference`` always works, explicit ``vector``
-errors on cells it cannot express, and ``auto`` falls back to the
-reference engine with a logged reason.
+errors on cells it cannot express, ``auto`` falls back to the
+reference engine with a logged reason, and the executor runs a task
+only on the concrete engine it names.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from repro.grid.palette import Color
 from repro.schedule import AcquirePolicy
 from repro.sim.backend import (
     BACKEND_CHOICES,
-    BACKEND_NAMES,
     BackendError,
-    get_backend,
     resolve_backend,
     vector_unsupported_reason,
 )
+from repro.sweep.executor import make_task, run_cell_tasks, run_trial
 from repro.sweep.spec import SweepCell
 
 
@@ -40,23 +40,39 @@ def _fault_cell() -> SweepCell:
     return _cell(fault_label="boom", fault_plan=plan)
 
 
+def _task(cell: SweepCell, trial: int = 0, **kwargs) -> dict:
+    return make_task(cell, seed=3, n_trials=2, trial=trial, **kwargs)
+
+
 class TestNames:
-    def test_choices_superset_of_names(self):
-        assert set(BACKEND_NAMES) < set(BACKEND_CHOICES)
-        assert "auto" in BACKEND_CHOICES and "auto" not in BACKEND_NAMES
+    def test_choices_are_the_engines_plus_auto(self):
+        assert BACKEND_CHOICES == ("reference", "vector", "auto")
 
-    def test_get_backend_returns_each_engine(self):
-        for name in BACKEND_NAMES:
-            assert get_backend(name).name == name
+    def test_dispatch_runs_each_engine(self):
+        cell = _cell()
+        [ref_run] = run_trial(_task(cell))["runs"].values()
+        assert "trace" in ref_run
+        vector_tasks = [_task(cell, t, backend="vector") for t in range(2)]
+        batch = run_cell_tasks(vector_tasks)
+        assert batch == [run_trial(task) for task in vector_tasks]
+        [vec_run] = batch[0]["runs"].values()
+        assert "trace" not in vec_run
+        assert vec_run["measured_time"] == ref_run["measured_time"]
 
-    def test_get_backend_rejects_auto(self):
+    def test_dispatch_rejects_auto(self):
         # Tasks must name a concrete engine; auto is resolved earlier.
-        with pytest.raises(BackendError):
-            get_backend("auto")
+        task = _task(_cell(), backend="auto")
+        with pytest.raises(BackendError, match="unknown backend"):
+            run_trial(task)
+        with pytest.raises(BackendError, match="unknown backend"):
+            run_cell_tasks([task])
 
-    def test_get_backend_rejects_unknown(self):
-        with pytest.raises(BackendError):
-            get_backend("warp")
+    def test_dispatch_rejects_unknown(self):
+        task = _task(_cell(), backend="warp")
+        with pytest.raises(BackendError, match="unknown backend"):
+            run_trial(task)
+        with pytest.raises(BackendError, match="unknown backend"):
+            run_cell_tasks([task])
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(BackendError):

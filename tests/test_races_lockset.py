@@ -303,15 +303,12 @@ class TestCli:
             cwd=cwd, env=env, capture_output=True, text=True)
 
     def test_repo_is_clean(self):
-        # The acceptance guarantee: the shipped tree passes racecheck
-        # with the shipped allowlist — exactly the racecheck lint pass.
-        proc = self.run_cli("src/repro")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "clean" in proc.stdout
-
-    def test_repo_allowlist_has_no_stale_entries(self):
+        # The acceptance guarantee and the repo's race lint: the shipped
+        # tree passes racecheck with the shipped allowlist, and no
+        # allowlist entry is stale.
         proc = self.run_cli("src/repro", "--strict-unused")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "clean" in proc.stdout
 
     def test_json_report_is_canonical(self):
         proc = self.run_cli("src/repro", "--json")

@@ -5,19 +5,13 @@ rest of the class — must be caught by *both* layers: statically by the
 lockset analysis, and dynamically by the happens-before sanitizer, with
 byte-identical reports across repeated runs.  A second bug — a guarded
 attribute written from *outside* its class — is one only the sanitizer
-can see, which is why the dynamic layer is kept.  The repo itself must
-come out clean through the same pipeline.
+can see, which is why the dynamic layer is kept.  (The repo itself
+coming out clean is pinned by ``tests/test_races_lockset.py::TestCli``.)
 """
 
-import os
-import pathlib
-import subprocess
-import sys
 import threading
 
 from repro.races import RaceSanitizer, analyze_source
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # The planted bug: _published has a locked write (reset) *and* a bare
 # increment in publish() — the classic lost-update beside the very lock
@@ -147,15 +141,3 @@ class TestOnlyTheSanitizerSeesIt:
         body = reports.pop().decode("utf-8")
         assert '"ok":false' in body
         assert "Tally#0._count" in body
-
-
-class TestRepoIsClean:
-    def test_racecheck_src_repro_exits_zero(self):
-        # The repo's race lint: no finding, no stale allowlist entry.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "racecheck", "src/repro",
-             "--strict-unused"],
-            cwd=REPO, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,7 +16,7 @@ from repro.serve.protocol import (
     parse_body,
 )
 from repro.sweep import ACTIVITY, SweepSpec
-from repro.sweep.executor import _make_tasks, cell_address
+from repro.sweep.executor import cell_address, make_task
 
 
 class TestParseBody:
@@ -92,7 +92,8 @@ class TestRunRequest:
         spec = SweepSpec(flags=("poland",), scenarios=(4,),
                          team_sizes=(3,), n_trials=1, seed=9)
         [cell] = spec.cells()
-        [task] = _make_tasks(cell, spec, False)
+        task = make_task(cell, seed=spec.seed, n_trials=spec.n_trials,
+                         trial=0)
         assert req.task() == task
 
     def test_address_matches_cell_address(self):
@@ -102,7 +103,8 @@ class TestRunRequest:
         spec = SweepSpec(flags=("poland",), scenarios=(3,),
                          n_trials=1, seed=5)
         [cell] = spec.cells()
-        assert req.address() == cell_address(cell, spec, observe=True)
+        assert req.address() == cell_address(
+            cell, seed=spec.seed, n_trials=spec.n_trials, observe=True)
 
     def test_task_is_json_safe(self):
         task = RunRequest.from_body({"flag": "mauritius"}).task()

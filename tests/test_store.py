@@ -557,7 +557,8 @@ class TestSweepInterop:
         with ResultStore(db) as store:
             cold = run_sweep(spec, store=store,
                              cache=ResultCache(cache_dir))
-            address = cell_address(spec.cells()[0], spec)
+            address = cell_address(spec.cells()[0], seed=spec.seed,
+                                   n_trials=spec.n_trials)
             before = canonical_json(store.get_result(address))
         cache_bytes = {p.name: p.read_bytes()
                        for p in sorted(cache_dir.glob("*.json"))}
@@ -584,7 +585,8 @@ class TestSweepInterop:
         cache = ResultCache(tmp_path / "cache")
         with ResultStore(tmp_path / "s.db") as store:
             run_sweep(spec, store=store, cache=cache)
-            address = cell_address(spec.cells()[0], spec)
+            address = cell_address(spec.cells()[0], seed=spec.seed,
+                                   n_trials=spec.n_trials)
             from_store = store.get_result(address)
             from_cache = cache.get(address)
         assert from_store == from_cache

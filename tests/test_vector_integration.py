@@ -56,11 +56,12 @@ class TestSweepBackend:
         # Pre-backend caches must stay warm: the reference address is
         # byte-identical with and without the (default) backend arg.
         cell = SPEC.cells()[0]
-        legacy = cell_address(cell, SPEC, observe=False)
-        assert cell_address(cell, SPEC, observe=False,
-                            backend="reference") == legacy
-        assert cell_address(cell, SPEC, observe=False,
-                            backend="vector") != legacy
+        legacy = cell_address(cell, seed=SPEC.seed, n_trials=SPEC.n_trials,
+                              observe=False)
+        assert cell_address(cell, seed=SPEC.seed, n_trials=SPEC.n_trials,
+                            observe=False, backend="reference") == legacy
+        assert cell_address(cell, seed=SPEC.seed, n_trials=SPEC.n_trials,
+                            observe=False, backend="vector") != legacy
 
     def test_cache_separation_and_warm_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
