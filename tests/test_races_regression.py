@@ -5,13 +5,17 @@ rest of the class — must be caught by *both* layers: statically by the
 lockset analysis, and dynamically by the happens-before sanitizer, with
 byte-identical reports across repeated runs.  A second bug — a guarded
 attribute written from *outside* its class — is one only the sanitizer
-can see, which is why the dynamic layer is kept.  (The repo itself
-coming out clean is pinned by ``tests/test_races_lockset.py::TestCli``.)
+can see, which is why the dynamic layer is kept.  The repo itself
+must come out clean through the same pipeline.
 """
 
+import pathlib
 import threading
 
+from repro.cli import main
 from repro.races import RaceSanitizer, analyze_source
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # The planted bug: _published has a locked write (reset) *and* a bare
 # increment in publish() — the classic lost-update beside the very lock
@@ -141,3 +145,14 @@ class TestOnlyTheSanitizerSeesIt:
         body = reports.pop().decode("utf-8")
         assert '"ok":false' in body
         assert "Tally#0._count" in body
+
+
+class TestRepoIsClean:
+    def test_racecheck_src_repro_exits_zero(self, monkeypatch, capsys):
+        # The repo's race lint, run in-process through the CLI entry
+        # point: no finding and no stale allowlist entry.
+        monkeypatch.chdir(REPO)
+        assert main(["racecheck", "src/repro", "--strict-unused"]) == 0
+        out = capsys.readouterr()
+        assert "clean" in out.out
+        assert out.err == ""
