@@ -22,7 +22,7 @@ from .recovery import (
     RecoveryError,
     RecoveryPolicy,
 )
-from .injector import FaultInjector, resilient_worker
+from .injector import FaultInjector
 
 __all__ = [
     "Fault",
@@ -39,5 +39,4 @@ __all__ = [
     "RecoveryError",
     "RecoveryPolicy",
     "FaultInjector",
-    "resilient_worker",
 ]

@@ -1,46 +1,30 @@
-"""Compile a fault plan into engine interrupts, plus the workers that
-survive them.
+"""Compile a fault plan into engine interrupts and recover as they fire.
 
-Two halves:
+:class:`FaultInjector` turns each :class:`~repro.faults.plan.FaultPlan`
+entry into kernel-level scheduled calls — dropout kills, implement
+failures (permanent or with a scheduled spare), stall interrupts — and
+performs the recovery bookkeeping (redistribution, abandonment
+accounting) the moment a fault fires.
 
-- :class:`FaultInjector` turns each :class:`~repro.faults.plan.FaultPlan`
-  entry into kernel-level scheduled calls — dropout kills, implement
-  failures (permanent or with a scheduled spare), stall interrupts — and
-  performs the recovery bookkeeping (redistribution, abandonment
-  accounting) the moment a fault fires.
-- :func:`resilient_worker` is the fault-aware counterpart of
-  :func:`~repro.schedule.runner.paint_worker`: it pulls strokes from a
-  shared per-worker deque (so a survivor can inherit a dropped
-  teammate's work mid-run), rides out stall interrupts wherever they
-  land, survives permanent implement failures by abandoning the dead
-  color, and hands its in-flight stroke back on a kill so redistribution
-  never loses an op.
-
-With an empty plan the worker yields exactly the command sequence
-``paint_worker`` yields, which is what makes a fault-free plan's trace
-byte-identical to a no-plan run (a property test pins this).
+The workers it interrupts are the ordinary
+:func:`~repro.schedule.runner.paint_worker` generators every run uses:
+they pull strokes from per-worker deques the injector can refill, ride
+out stalls wherever they land, abandon ops whose implement died, and
+hand their in-flight stroke back on a kill.  There is no separate
+fault-aware worker, so an empty plan's trace is byte-identical to a
+no-plan run (a property test pins this).
 """
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Set
 
-import numpy as np
-
-from ..agents.student import FillStyle, StudentProcessor
-from ..agents.team import Team
-from ..grid.canvas import Canvas
 from ..grid.palette import Color
 from ..sim.engine import (
-    Acquire,
     KillInterrupt,
-    ProcessGen,
-    Release,
-    ResourceFailure,
     ResourceHandle,
     Simulator,
     StallInterrupt,
-    Timeout,
 )
 from ..sim.events import EventKind
 from .plan import (
@@ -52,146 +36,6 @@ from .plan import (
     TransientStall,
 )
 from .recovery import FaultAccounting, RecoveryConfig
-
-
-def _sleep(sim: Simulator, agent: str, delay: float):
-    """Sleep ``delay`` simulated seconds, riding out stall interrupts.
-
-    The first yield passes ``delay`` through untouched so a fault-free
-    run reproduces ``Timeout(delay)`` bit for bit; only after a stall do
-    we recompute the remaining time (stall duration + what was left).
-    Kill interrupts are not caught — they propagate to the worker's
-    handler.
-    """
-    end: Optional[float] = None
-    while True:
-        start = sim.now
-        try:
-            yield Timeout(delay)
-            return
-        except StallInterrupt as s:
-            if end is None:
-                end = start + delay
-            sim.log(EventKind.STALL, agent=agent, duration=s.duration,
-                    reason=s.reason)
-            remaining = max(0.0, end - sim.now)
-            delay = s.duration + remaining
-            end = sim.now + delay
-
-
-def _acquire(sim: Simulator, agent: str, res: ResourceHandle):
-    """Acquire a resource, riding out stalls; False on permanent failure.
-
-    A stall delivered while parked in the queue drops our queue slot, so
-    after sleeping it out we re-request — unless the grant had already
-    landed (granted-but-not-yet-woken), in which case we simply proceed.
-    """
-    while True:
-        try:
-            yield Acquire(res)
-            return True
-        except ResourceFailure:
-            return False
-        except StallInterrupt as s:
-            sim.log(EventKind.STALL, agent=agent, duration=s.duration,
-                    reason=s.reason)
-            yield from _sleep(sim, agent, s.duration)
-            if res.held_by(agent):
-                return True
-
-
-def resilient_worker(
-    sim: Simulator,
-    student: StudentProcessor,
-    queue: Deque,
-    team: Team,
-    canvas: Canvas,
-    resources: Dict[Color, ResourceHandle],
-    rng: np.random.Generator,
-    *,
-    style: FillStyle = FillStyle.SCRIBBLE,
-    release_per_stroke: bool = False,
-    last_holder: Optional[Dict[str, str]] = None,
-    accounting: Optional[FaultAccounting] = None,
-    dead_colors: Optional[Set[Color]] = None,
-) -> ProcessGen:
-    """One student working through a shared, mutable stroke deque.
-
-    Args:
-        queue: this worker's stroke deque; recovery may append a dropped
-            teammate's strokes to it mid-run, and on a kill the worker
-            pushes its in-flight stroke back so nothing is silently lost.
-        accounting: shared per-run fault ledger (ops abandoned, ...).
-        dead_colors: shared set of colors whose implement permanently
-            failed; strokes needing them are abandoned, not attempted.
-    """
-    if last_holder is None:
-        last_holder = {}
-    if accounting is None:
-        accounting = FaultAccounting()
-    if dead_colors is None:
-        dead_colors = set()
-    name = student.name
-    held: Optional[ResourceHandle] = None
-    current = None
-    try:
-        while queue:
-            op = queue.popleft()
-            current = op
-            if op.color in dead_colors:
-                sim.log(EventKind.OP_ABANDONED, agent=name, cell=op.cell,
-                        color=op.color.name, reason="implement_failed")
-                accounting.ops_abandoned += 1
-                current = None
-                continue
-            res = resources[op.color]
-            if held is not res:
-                if held is not None:
-                    yield Release(held)
-                    held = None
-                got = yield from _acquire(sim, name, res)
-                if not got:
-                    dead_colors.add(op.color)
-                    sim.log(EventKind.OP_ABANDONED, agent=name, cell=op.cell,
-                            color=op.color.name, reason="implement_failed")
-                    accounting.ops_abandoned += 1
-                    current = None
-                    continue
-                prev = last_holder.get(res.name)
-                if prev is not None and prev != name:
-                    delay = student.handoff_time(rng)
-                    sim.log(EventKind.HANDOFF, agent=name,
-                            resource=res.name, from_agent=prev, delay=delay)
-                    yield from _sleep(sim, name, delay)
-                last_holder[res.name] = name
-                held = res
-            implement = team.kit.implement_for(op.color)
-            duration, coverage, fault = student.stroke_time(
-                implement, rng, style, complexity=op.complexity)
-            sim.log(EventKind.STROKE_START, agent=name, cell=op.cell,
-                    color=op.color.name, layer=op.layer)
-            yield from _sleep(sim, name, duration)
-            canvas.paint(op.cell, op.color, agent=name, time=sim.now,
-                         coverage=coverage)
-            sim.log(EventKind.STROKE_END, agent=name, cell=op.cell,
-                    color=op.color.name, layer=op.layer)
-            if fault is not None:
-                sim.log(EventKind.FAULT, agent=name,
-                        resource=res.name, delay=fault)
-                yield from _sleep(sim, name, fault)
-            current = None
-            if release_per_stroke:
-                yield Release(res)
-                held = None
-        if held is not None:
-            yield Release(held)
-    except KillInterrupt:
-        # Hand the in-flight stroke back so the recovery controller can
-        # redistribute it, then let the kernel finalize the kill (it
-        # releases whatever we hold).
-        if current is not None:
-            queue.appendleft(current)
-        raise
 
 
 class FaultInjector:

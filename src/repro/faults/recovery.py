@@ -93,7 +93,7 @@ class RecoveryConfig:
 class FaultAccounting:
     """What actually happened: faults fired and what recovery cost.
 
-    Filled in by the injector and the resilient workers during a run and
+    Filled in by the injector and the workers during a run and
     attached to the :class:`~repro.schedule.runner.RunResult` as
     ``result.faults``.
 

@@ -17,6 +17,7 @@ long process.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +26,9 @@ from ..agents.student import FillStyle, StudentProcessor
 from ..agents.team import Team
 from ..flags.compiler import compile_flag
 from ..flags.spec import FlagSpec, PaintOp
-from ..grid.canvas import Canvas
-from ..grid.palette import Color
-from ..sim.engine import ProcessGen, Simulator, WaitAll
+from ..sim.engine import ProcessGen, WaitAll
 from ..sim.trace import Trace
-from .runner import RunResult, build_resources, paint_worker
+from .runner import RunResult, Stage
 
 
 def split_ops(ops: Sequence[PaintOp], n: int) -> List[Tuple[PaintOp, ...]]:
@@ -46,23 +45,13 @@ def split_ops(ops: Sequence[PaintOp], n: int) -> List[Tuple[PaintOp, ...]]:
     return out
 
 
-def _layer_process(
-    sim: Simulator,
-    student: StudentProcessor,
-    ops: Sequence[PaintOp],
-    deps: Sequence[str],
-    team: Team,
-    canvas: Canvas,
-    resources,
-    rng: np.random.Generator,
-    style: FillStyle,
-    last_holder: Dict[str, str],
-) -> ProcessGen:
+def _layer_process(stage: Stage, student: StudentProcessor,
+                   ops: Sequence[PaintOp], deps: Sequence[str],
+                   rng: np.random.Generator, style: FillStyle) -> ProcessGen:
     """Wait for the previous layer's processes, then paint this worker's ops."""
     if deps:
         yield WaitAll(tuple(deps))
-    yield from paint_worker(sim, student, ops, team, canvas, resources, rng,
-                            style=style, last_holder=last_holder)
+    yield from stage.worker(student, deque(ops), rng, style=style)
 
 
 def run_layered(
@@ -85,12 +74,7 @@ def run_layered(
     """
     program = compile_flag(spec, rows, cols,
                            skip_optional_blank=skip_optional_blank)
-    team.begin_scenario()
-    sim = Simulator()
-    canvas = Canvas(program.rows, program.cols, allow_overpaint=True)
-    colors = sorted({op.color for op in program.ops}, key=int)
-    resources = build_resources(sim, team, colors)
-    last_holder: Dict[str, str] = {}
+    stage = Stage(program, team)
     students = team.colorers(n_workers)
 
     prev_layer_procs: List[str] = []
@@ -104,21 +88,18 @@ def run_layered(
                 continue
             pname = f"{layer_name}|{student.name}"
             names.append(pname)
-            sim.add_process(
+            stage.sim.add_process(
                 pname,
-                _layer_process(sim, student, chunk, list(prev_layer_procs),
-                               team, canvas, resources, rng, style,
-                               last_holder),
+                _layer_process(stage, student, chunk, list(prev_layer_procs),
+                               rng, style),
             )
         layer_proc_names[layer_name] = names
         if names:
             prev_layer_procs = names
 
-    true_makespan = sim.run()
-    measured = team.timer.measure(true_makespan, rng)
-    trace = Trace(sim.events)
+    true_makespan, measured = stage.run(rng)
     layer_finish = {
-        layer: max((sim.finish_times[p] for p in procs), default=0.0)
+        layer: max((stage.sim.finish_times[p] for p in procs), default=0.0)
         for layer, procs in layer_proc_names.items()
     }
     from ..flags.compiler import image_matches
@@ -128,9 +109,9 @@ def run_layered(
         n_workers=n_workers,
         true_makespan=true_makespan,
         measured_time=measured,
-        trace=trace,
-        canvas=canvas,
-        correct=image_matches(canvas.codes, spec, program),
+        trace=Trace(stage.sim.events),
+        canvas=stage.canvas,
+        correct=image_matches(stage.canvas.codes, spec, program),
         extra={"layer_finish": layer_finish,
                "layer_order": list(program.layer_order)},
     )
@@ -149,12 +130,16 @@ def layered_speedup_curve(
     For layered flags the curve flattens well before the flat-flag curve
     does: each barrier serializes on the slowest worker of the layer, and
     small layers (the Jordan star, the GB red cross) cannot use many hands.
+
+    Trial streams follow :mod:`repro.sweep.seeding`, keyed by worker
+    count, so no (seed, P, trial) shares a stream with another.
     """
+    from ..sweep.seeding import trial_rngs
+
     out: Dict[int, List[RunResult]] = {}
     for p in workers:
         runs = []
-        for t in range(trials):
-            rng = np.random.default_rng(seed + 7919 * p + t)
+        for rng in trial_rngs(seed, trials, cell_key=f"layered/P={p}"):
             team = team_factory(rng, max(p, 1))
             runs.append(run_layered(spec, team, p, rng))
         out[p] = runs

@@ -3,8 +3,10 @@
 This module turns a static :class:`~repro.flags.decompose.Partition` plus a
 :class:`~repro.agents.team.Team` into simulator processes, runs them, and
 packages the outcome as a :class:`RunResult`.  It is the path every
-experiment goes through; the scenario wrappers, dynamic strategies and
-dependency-aware schedulers all bottom out here.
+experiment goes through: :func:`paint_stroke` is the one per-stroke step
+(take the implement, color the cell, ride out stalls) that the static,
+fault-tolerant, self-scheduling, work-stealing and layered runners all
+share, and :class:`Stage` is the one run setup they all build.
 
 Implement sharing follows the classroom physics: a team owns one implement
 per color (unless issued duplicates), an implement is a single-holder FIFO
@@ -18,7 +20,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Deque, Dict, Generator, List,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -30,10 +33,13 @@ from ..grid.canvas import Canvas
 from ..grid.palette import Color
 from ..sim.engine import (
     Acquire,
+    KillInterrupt,
     ProcessGen,
     Release,
+    ResourceFailure,
     ResourceHandle,
     Simulator,
+    StallInterrupt,
     Timeout,
 )
 from ..sim.events import EventKind
@@ -109,10 +115,147 @@ def build_resources(sim: Simulator, team: Team,
     }
 
 
+def _ride_out(sim: Simulator, agent: str, stall: StallInterrupt,
+              end: float):
+    """Sleep out ``stall`` and the rest of a timeout that was due at
+    ``end``, riding out any further stalls the same way.
+
+    Kill interrupts are not caught: they reach the worker's handler.
+    """
+    while True:
+        sim.log(EventKind.STALL, agent=agent, duration=stall.duration,
+                reason=stall.reason)
+        delay = stall.duration + max(0.0, end - sim.now)
+        end = sim.now + delay
+        try:
+            yield Timeout(delay)
+            return
+        except StallInterrupt as s:
+            stall = s
+
+
+def _reacquire(sim: Simulator, agent: str, res: ResourceHandle,
+               exc: Exception):
+    """Finish an acquire that ``exc`` interrupted; False on permanent
+    failure.
+
+    A stall delivered while parked in the queue drops our queue slot, so
+    after sleeping it out we re-request, unless the grant had already
+    landed (granted-but-not-yet-woken), in which case we simply proceed.
+    """
+    while isinstance(exc, StallInterrupt):
+        yield from _ride_out(sim, agent, exc, sim.now)
+        if res.held_by(agent):
+            return True
+        try:
+            yield Acquire(res)
+            return True
+        except (ResourceFailure, StallInterrupt) as e:
+            exc = e
+    return False
+
+
+def paint_stroke(
+    sim: Simulator,
+    student: StudentProcessor,
+    op: PaintOp,
+    held: Optional[ResourceHandle],
+    team: Team,
+    canvas: Canvas,
+    resources: Dict[Color, ResourceHandle],
+    rng: np.random.Generator,
+    *,
+    style: FillStyle,
+    last_holder: Dict[str, str],
+    dead_colors: Set[Color],
+    accounting: Optional["FaultAccounting"] = None,
+) -> Generator[Any, Any, Optional[ResourceHandle]]:
+    """Paint one stroke; returns the implement the worker now holds.
+
+    The one per-stroke step of every runner: pick up the op's implement
+    (putting down ``held`` if it is another one, waiting in line, paying
+    handoff time when it changes hands), color the cell, and keep the
+    implement.  Stalls are ridden out wherever they land.  Only the rule
+    for choosing the next op differs between workers.
+
+    Args:
+        held: the implement the worker holds before this stroke.
+        last_holder: shared map resource-name -> last agent who held it;
+            pass the same dict to every worker of a run.
+        dead_colors: shared set of colors whose implement permanently
+            failed; their ops are abandoned, not attempted.
+        accounting: fault ledger charged for abandoned ops, if any.
+
+    Returns:
+        The op's implement, ``held`` unchanged when the op's color is
+        dead, or ``None`` when the implement failed while we waited.
+    """
+    name = student.name
+    res = resources[op.color]
+    dead = op.color in dead_colors
+    if not dead and held is not res:
+        if held is not None:
+            yield Release(held)
+            held = None
+        # Each engine command is yielded here directly, and a fault only
+        # diverts into _reacquire/_ride_out once it lands: the fault-free
+        # path pays no nested generator per command.
+        try:
+            yield Acquire(res)
+            got = True
+        except (ResourceFailure, StallInterrupt) as exc:
+            got = yield from _reacquire(sim, name, res, exc)
+        if got:
+            prev = last_holder.get(res.name)
+            if prev is not None and prev != name:
+                delay = student.handoff_time(rng)
+                sim.log(EventKind.HANDOFF, agent=name, resource=res.name,
+                        from_agent=prev, delay=delay)
+                end = sim.now + delay
+                try:
+                    yield Timeout(delay)
+                except StallInterrupt as stall:
+                    yield from _ride_out(sim, name, stall, end)
+            last_holder[res.name] = name
+            held = res
+        else:
+            dead = True
+            dead_colors.add(op.color)
+    if dead:
+        sim.log(EventKind.OP_ABANDONED, agent=name, cell=op.cell,
+                color=op.color.name, reason="implement_failed")
+        if accounting is not None:
+            accounting.ops_abandoned += 1
+        return held
+    implement = team.kit.implement_for(op.color)
+    duration, coverage, fault = student.stroke_time(
+        implement, rng, style, complexity=op.complexity)
+    color = op.color.name
+    sim.log(EventKind.STROKE_START, agent=name, cell=op.cell, color=color,
+            layer=op.layer)
+    end = sim.now + duration
+    try:
+        yield Timeout(duration)
+    except StallInterrupt as stall:
+        yield from _ride_out(sim, name, stall, end)
+    canvas.paint(op.cell, op.color, agent=name, time=sim.now,
+                 coverage=coverage)
+    sim.log(EventKind.STROKE_END, agent=name, cell=op.cell, color=color,
+            layer=op.layer)
+    if fault is not None:
+        sim.log(EventKind.FAULT, agent=name, resource=res.name, delay=fault)
+        end = sim.now + fault
+        try:
+            yield Timeout(fault)
+        except StallInterrupt as stall:
+            yield from _ride_out(sim, name, stall, end)
+    return res
+
+
 def paint_worker(
     sim: Simulator,
     student: StudentProcessor,
-    ops: Sequence[PaintOp],
+    queue: Deque[PaintOp],
     team: Team,
     canvas: Canvas,
     resources: Dict[Color, ResourceHandle],
@@ -121,50 +264,88 @@ def paint_worker(
     style: FillStyle = FillStyle.SCRIBBLE,
     policy: AcquirePolicy = AcquirePolicy.HOLD_COLOR_RUN,
     last_holder: Optional[Dict[str, str]] = None,
+    accounting: Optional["FaultAccounting"] = None,
+    dead_colors: Optional[Set[Color]] = None,
 ) -> ProcessGen:
-    """Generator for one student working through an ordered stroke list.
+    """Generator for one student working through their stroke deque.
 
     Args:
-        last_holder: shared map resource-name -> last agent who held it;
-            used to charge handoff time when an implement changes hands.
-            Pass the same dict to every worker of a run.
+        queue: this worker's strokes in order; fault recovery may append
+            a dropped teammate's strokes mid-run, and on a kill the
+            worker pushes its in-flight stroke back so redistribution
+            never loses an op.
+        last_holder / accounting / dead_colors: see :func:`paint_stroke`.
     """
     if last_holder is None:
         last_holder = {}
+    if dead_colors is None:
+        dead_colors = set()
     held: Optional[ResourceHandle] = None
-    for op in ops:
-        res = resources[op.color]
-        if held is not res:
-            if held is not None:
+    op: Optional[PaintOp] = None
+    try:
+        while queue:
+            op = queue.popleft()
+            held = yield from paint_stroke(
+                sim, student, op, held, team, canvas, resources, rng,
+                style=style, last_holder=last_holder,
+                dead_colors=dead_colors, accounting=accounting)
+            op = None
+            if held is not None and policy is AcquirePolicy.RELEASE_PER_STROKE:
                 yield Release(held)
-            yield Acquire(res)
-            prev = last_holder.get(res.name)
-            if prev is not None and prev != student.name:
-                delay = student.handoff_time(rng)
-                sim.log(EventKind.HANDOFF, agent=student.name,
-                        resource=res.name, from_agent=prev, delay=delay)
-                yield Timeout(delay)
-            last_holder[res.name] = student.name
-            held = res
-        implement = team.kit.implement_for(op.color)
-        duration, coverage, fault = student.stroke_time(
-                implement, rng, style, complexity=op.complexity)
-        sim.log(EventKind.STROKE_START, agent=student.name, cell=op.cell,
-                color=op.color.name, layer=op.layer)
-        yield Timeout(duration)
-        canvas.paint(op.cell, op.color, agent=student.name, time=sim.now,
-                     coverage=coverage)
-        sim.log(EventKind.STROKE_END, agent=student.name, cell=op.cell,
-                color=op.color.name, layer=op.layer)
-        if fault is not None:
-            sim.log(EventKind.FAULT, agent=student.name,
-                    resource=res.name, delay=fault)
-            yield Timeout(fault)
-        if policy is AcquirePolicy.RELEASE_PER_STROKE:
-            yield Release(res)
-            held = None
-    if held is not None:
-        yield Release(held)
+                held = None
+        if held is not None:
+            yield Release(held)
+    except KillInterrupt:
+        # Hand the in-flight stroke back for the recovery controller,
+        # then let the kernel finalize the kill (it releases what we hold).
+        if op is not None:
+            queue.appendleft(op)
+        raise
+
+
+class Stage:
+    """The shared room of one run: engine, sheet, implements, handoffs.
+
+    Every runner builds it the same way and in this order (the engine's
+    sequence counter makes the order part of the trace): reset the
+    team's fatigue, then the :class:`Simulator`, the overpaintable
+    :class:`Canvas`, one implement per color in code order, and the
+    ``last_holder`` map and ``dead_colors`` set every worker shares.
+    """
+
+    def __init__(self, program: PaintProgram, team: Team,
+                 observer: Optional["Observer"] = None) -> None:
+        team.begin_scenario()
+        self.team = team
+        self.sim = Simulator(observer=observer)
+        self.canvas = Canvas(program.rows, program.cols, allow_overpaint=True)
+        colors = sorted({op.color for op in program.ops}, key=int)
+        self.resources = build_resources(self.sim, team, colors)
+        self.last_holder: Dict[str, str] = {}
+        self.dead_colors: Set[Color] = set()
+
+    def stroke(self, student: StudentProcessor, op: PaintOp,
+               held: Optional[ResourceHandle], rng: np.random.Generator,
+               style: FillStyle
+               ) -> Generator[Any, Any, Optional[ResourceHandle]]:
+        """:func:`paint_stroke` on this stage."""
+        return paint_stroke(self.sim, student, op, held, self.team,
+                            self.canvas, self.resources, rng, style=style,
+                            last_holder=self.last_holder,
+                            dead_colors=self.dead_colors)
+
+    def worker(self, student: StudentProcessor, queue: Deque[PaintOp],
+               rng: np.random.Generator, **kwargs) -> ProcessGen:
+        """:func:`paint_worker` on this stage."""
+        return paint_worker(self.sim, student, queue, self.team, self.canvas,
+                            self.resources, rng,
+                            last_holder=self.last_holder,
+                            dead_colors=self.dead_colors, **kwargs)
+
+    def run(self, rng: np.random.Generator) -> Tuple[float, float]:
+        """Run to completion: (true makespan, the timer's measurement)."""
+        true_makespan = self.sim.run()
+        return true_makespan, self.team.timer.measure(true_makespan, rng)
 
 
 def run_partition(
@@ -198,9 +379,9 @@ def run_partition(
             already "colored" white.  ``True`` requires exact cell-for-cell
             equality with the target, blanks included — what a run that
             must not overpaint uncovered cells should assert.
-        fault_plan: when given (even empty), the run executes on the
-            fault-tolerant worker path with the plan's mishaps injected;
-            an empty plan reproduces the clean run's trace exactly.
+        fault_plan: when given (even empty), the plan's mishaps are
+            injected and the result carries fault accounting; an empty
+            plan reproduces the clean run's trace exactly.
         recovery: how the team responds to faults; defaults to
             REDISTRIBUTE.  Ignored without a ``fault_plan``.
         observer: an observability tap (e.g. a
@@ -209,62 +390,39 @@ def run_partition(
             ``result.obs``.  ``None`` (the default) costs nothing.
     """
     program = partition.program
-    team.begin_scenario()
-    sim = Simulator(observer=observer)
-    canvas = Canvas(program.rows, program.cols, allow_overpaint=True)
-    colors = sorted({op.color for op in program.ops}, key=int)
-    resources = build_resources(sim, team, colors)
-    last_holder: Dict[str, str] = {}
-
-    active = [(i, ops) for i, ops in enumerate(partition.assignments) if ops]
+    stage = Stage(program, team, observer)
+    active = [ops for ops in partition.assignments if ops]
     students = team.colorers(len(active))
+    queues: Dict[str, Deque[PaintOp]] = {
+        student.name: deque(ops) for student, ops in zip(students, active)
+    }
     accounting: Optional["FaultAccounting"] = None
-    if fault_plan is None:
-        for student, (_, ops) in zip(students, active):
-            sim.add_process(
-                student.name,
-                paint_worker(sim, student, ops, team, canvas, resources, rng,
-                             style=style, policy=policy,
-                             last_holder=last_holder),
-            )
-    else:
-        # Imported lazily: faults -> agents/sim only, so no cycle, but
-        # keeping it out of module scope means clean runs never pay for it.
-        from ..faults.injector import FaultInjector, resilient_worker
+    start_at = [0.0] * len(students)
+    if fault_plan is not None:
+        # Imported lazily: clean runs never pay for the faults package.
+        from ..faults.injector import FaultInjector
         from ..faults.recovery import FaultAccounting, RecoveryConfig
 
         if recovery is None:
             recovery = RecoveryConfig()
         accounting = FaultAccounting()
-        dead_colors: set = set()
-        queues: Dict[str, Deque] = {
-            student.name: deque(ops)
-            for student, (_, ops) in zip(students, active)
-        }
-        worker_names = [s.name for s, _ in zip(students, active)]
-        injector = FaultInjector(sim, fault_plan, worker_names, queues,
-                                 resources, recovery, accounting, dead_colors)
+        injector = FaultInjector(stage.sim, fault_plan, list(queues), queues,
+                                 stage.resources, recovery, accounting,
+                                 stage.dead_colors)
         injector.install()
-        for idx, (student, _) in enumerate(zip(students, active)):
-            sim.add_process(
-                student.name,
-                resilient_worker(
-                    sim, student, queues[student.name], team, canvas,
-                    resources, rng, style=style,
-                    release_per_stroke=(
-                        policy is AcquirePolicy.RELEASE_PER_STROKE),
-                    last_holder=last_holder, accounting=accounting,
-                    dead_colors=dead_colors,
-                ),
-                start_at=injector.start_delay(idx),
-            )
-    true_makespan = sim.run()
-    measured = team.timer.measure(true_makespan, rng)
-    trace = Trace(sim.events)
+        start_at = [injector.start_delay(i) for i in range(len(students))]
+    for student, delay in zip(students, start_at):
+        stage.sim.add_process(
+            student.name,
+            stage.worker(student, queues[student.name], rng, style=style,
+                         policy=policy, accounting=accounting),
+            start_at=delay,
+        )
+    true_makespan, measured = stage.run(rng)
     if target is None:
         from ..flags.compiler import execute
         target = execute(program).codes
-    correct = canvas.matches(target, ignore_blank_target=not strict)
+    correct = stage.canvas.matches(target, ignore_blank_target=not strict)
     obs_summary: Optional["ObsSummary"] = None
     if observer is not None:
         # Imported lazily for the same reason the faults path is: clean
@@ -282,8 +440,8 @@ def run_partition(
         n_workers=len(active),
         true_makespan=true_makespan,
         measured_time=measured,
-        trace=trace,
-        canvas=canvas,
+        trace=Trace(stage.sim.events),
+        canvas=stage.canvas,
         correct=correct,
         faults=accounting,
         obs=obs_summary,

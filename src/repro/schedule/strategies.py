@@ -19,73 +19,33 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..agents.student import FillStyle
+from ..agents.student import FillStyle, StudentProcessor
 from ..agents.team import Team
 from ..flags.spec import PaintOp, PaintProgram
-from ..grid.canvas import Canvas
-from ..grid.palette import Color
-from ..sim.engine import Acquire, ProcessGen, Release, ResourceHandle, Simulator, Timeout
-from ..sim.events import EventKind
+from ..sim.engine import ProcessGen, Release, ResourceHandle
 from ..sim.trace import Trace
-from .runner import AcquirePolicy, RunResult, build_resources
+from .runner import RunResult, Stage
 
 
 class StrategyError(Exception):
     """Raised for invalid dynamic-schedule configurations."""
 
 
-def _dynamic_worker(
-    sim: Simulator,
-    student,
-    queue: Deque[PaintOp],
-    chunk: int,
-    team: Team,
-    canvas: Canvas,
-    resources: Dict[Color, ResourceHandle],
-    rng: np.random.Generator,
-    style: FillStyle,
-    last_holder: Dict[str, str],
-) -> ProcessGen:
+def _dynamic_worker(stage: Stage, student: StudentProcessor,
+                    queue: Deque[PaintOp], chunk: int,
+                    rng: np.random.Generator,
+                    style: FillStyle) -> ProcessGen:
     """One worker repeatedly pulling up to ``chunk`` strokes off the queue."""
-    held: Optional[ResourceHandle] = None
     while queue:
         batch = [queue.popleft() for _ in range(min(chunk, len(queue)))]
+        held: Optional[ResourceHandle] = None
         for op in batch:
-            res = resources[op.color]
-            if held is not res:
-                if held is not None:
-                    yield Release(held)
-                yield Acquire(res)
-                prev = last_holder.get(res.name)
-                if prev is not None and prev != student.name:
-                    delay = student.handoff_time(rng)
-                    sim.log(EventKind.HANDOFF, agent=student.name,
-                            resource=res.name, from_agent=prev, delay=delay)
-                    yield Timeout(delay)
-                last_holder[res.name] = student.name
-                held = res
-            implement = team.kit.implement_for(op.color)
-            duration, coverage, fault = student.stroke_time(
-                implement, rng, style, complexity=op.complexity)
-            sim.log(EventKind.STROKE_START, agent=student.name, cell=op.cell,
-                    color=op.color.name, layer=op.layer)
-            yield Timeout(duration)
-            canvas.paint(op.cell, op.color, agent=student.name, time=sim.now,
-                         coverage=coverage)
-            sim.log(EventKind.STROKE_END, agent=student.name, cell=op.cell,
-                    color=op.color.name, layer=op.layer)
-            if fault is not None:
-                sim.log(EventKind.FAULT, agent=student.name,
-                        resource=res.name, delay=fault)
-                yield Timeout(fault)
+            held = yield from stage.stroke(student, op, held, rng, style)
         # Release between chunks: self-scheduling means nobody hogs an
         # implement across queue pulls, otherwise one worker could
         # monopolize a color for an entire single-color phase.
         if held is not None:
             yield Release(held)
-            held = None
-    if held is not None:
-        yield Release(held)
 
 
 def run_dynamic(
@@ -115,34 +75,26 @@ def run_dynamic(
         raise StrategyError(f"need at least one worker, got {n_workers}")
     if chunk < 1:
         raise StrategyError(f"chunk must be >= 1, got {chunk}")
-    team.begin_scenario()
-    sim = Simulator()
-    canvas = Canvas(program.rows, program.cols, allow_overpaint=True)
-    colors = sorted({op.color for op in program.ops}, key=int)
-    resources = build_resources(sim, team, colors)
+    stage = Stage(program, team)
     queue: Deque[PaintOp] = deque(program.ops)
-    last_holder: Dict[str, str] = {}
     for student in team.colorers(n_workers):
-        sim.add_process(
+        stage.sim.add_process(
             student.name,
-            _dynamic_worker(sim, student, queue, chunk, team, canvas,
-                            resources, rng, style, last_holder),
+            _dynamic_worker(stage, student, queue, chunk, rng, style),
         )
-    true_makespan = sim.run()
-    measured = team.timer.measure(true_makespan, rng)
+    true_makespan, measured = stage.run(rng)
     if target is None:
         from ..flags.compiler import execute
         target = execute(program).codes
-    correct = canvas.matches(target)
     return RunResult(
         label=label or f"{program.flag}/dynamic(chunk={chunk})",
         strategy=f"dynamic_chunk{chunk}",
         n_workers=n_workers,
         true_makespan=true_makespan,
         measured_time=measured,
-        trace=Trace(sim.events),
-        canvas=canvas,
-        correct=correct,
+        trace=Trace(stage.sim.events),
+        canvas=stage.canvas,
+        correct=stage.canvas.matches(target),
         extra={"chunk": chunk},
     )
 
@@ -156,12 +108,18 @@ def chunk_sweep(
     *,
     trials: int = 3,
 ) -> Dict[int, List[RunResult]]:
-    """Run the dynamic strategy across chunk sizes; fresh team per trial."""
+    """Run the dynamic strategy across chunk sizes; fresh team per trial.
+
+    Trial streams follow :mod:`repro.sweep.seeding`, keyed by chunk
+    size, so no (seed, chunk, trial) shares a stream with another.
+    """
+    from ..sweep.seeding import trial_rngs
+
     out: Dict[int, List[RunResult]] = {}
     for chunk in chunks:
         runs = []
-        for t in range(trials):
-            rng = np.random.default_rng(seed + 1000 * chunk + t)
+        key = f"dynamic/chunk={chunk}"
+        for rng in trial_rngs(seed, trials, cell_key=key):
             team = team_factory(rng)
             runs.append(run_dynamic(program, team, n_workers, rng, chunk=chunk))
         out[chunk] = runs

@@ -17,15 +17,14 @@ import numpy as np
 
 T = TypeVar("T")
 
-from ..agents.student import FillStyle
+from ..agents.student import FillStyle, StudentProcessor
 from ..agents.team import Team
 from ..flags.decompose import Partition
-from ..grid.canvas import Canvas
-from ..grid.palette import Color
-from ..sim.engine import Acquire, ProcessGen, Release, ResourceHandle, Simulator, Timeout
+from ..sim.engine import (ProcessGen, Release, ResourceHandle, Simulator,
+                          Timeout)
 from ..sim.events import EventKind
 from ..sim.trace import Trace
-from .runner import RunResult, build_resources
+from .runner import RunResult, Stage
 
 
 class WorkStealError(Exception):
@@ -77,15 +76,11 @@ def _steal(queues: Dict[str, Deque], thief: str,
 
 
 def _stealing_worker(
-    sim: Simulator,
-    student,
+    stage: Stage,
+    student: StudentProcessor,
     queues: Dict[str, Deque],
-    team: Team,
-    canvas: Canvas,
-    resources: Dict[Color, ResourceHandle],
     rng: np.random.Generator,
     style: FillStyle,
-    last_holder: Dict[str, str],
     steal_overhead: float,
 ) -> ProcessGen:
     my_q = queues[student.name]
@@ -97,8 +92,7 @@ def _stealing_worker(
             if held is not None:
                 yield Release(held)
                 held = None
-            got = _steal(queues, student.name, sim)
-            if got is None:
+            if _steal(queues, student.name, stage.sim) is None:
                 break
             # Take one stroke in hand *before* walking back: work in a
             # queue can be re-stolen during the overhead delay, and
@@ -107,33 +101,7 @@ def _stealing_worker(
             op = my_q.popleft()
             if steal_overhead > 0:
                 yield Timeout(steal_overhead)
-        res = resources[op.color]
-        if held is not res:
-            if held is not None:
-                yield Release(held)
-            yield Acquire(res)
-            prev = last_holder.get(res.name)
-            if prev is not None and prev != student.name:
-                delay = student.handoff_time(rng)
-                sim.log(EventKind.HANDOFF, agent=student.name,
-                        resource=res.name, from_agent=prev, delay=delay)
-                yield Timeout(delay)
-            last_holder[res.name] = student.name
-            held = res
-        implement = team.kit.implement_for(op.color)
-        duration, coverage, fault = student.stroke_time(
-            implement, rng, style, complexity=op.complexity)
-        sim.log(EventKind.STROKE_START, agent=student.name, cell=op.cell,
-                color=op.color.name, layer=op.layer)
-        yield Timeout(duration)
-        canvas.paint(op.cell, op.color, agent=student.name, time=sim.now,
-                     coverage=coverage)
-        sim.log(EventKind.STROKE_END, agent=student.name, cell=op.cell,
-                color=op.color.name, layer=op.layer)
-        if fault is not None:
-            sim.log(EventKind.FAULT, agent=student.name,
-                    resource=res.name, delay=fault)
-            yield Timeout(fault)
+        held = yield from stage.stroke(student, op, held, rng, style)
     if held is not None:
         yield Release(held)
 
@@ -167,13 +135,7 @@ def run_work_stealing(
             "layered flags need the barrier scheduler"
         )
 
-    team.begin_scenario()
-    sim = Simulator()
-    canvas = Canvas(program.rows, program.cols, allow_overpaint=True)
-    colors = sorted({op.color for op in program.ops}, key=int)
-    resources = build_resources(sim, team, colors)
-    last_holder: Dict[str, str] = {}
-
+    stage = Stage(program, team)
     active = [(i, ops) for i, ops in enumerate(partition.assignments) if ops]
     students = team.colorers(len(active))
     queues: Dict[str, Deque] = {
@@ -181,13 +143,12 @@ def run_work_stealing(
         for student, (_, ops) in zip(students, active)
     }
     for student in students:
-        sim.add_process(
+        stage.sim.add_process(
             student.name,
-            _stealing_worker(sim, student, queues, team, canvas, resources,
-                             rng, style, last_holder, steal_overhead),
+            _stealing_worker(stage, student, queues, rng, style,
+                             steal_overhead),
         )
-    true_makespan = sim.run()
-    measured = team.timer.measure(true_makespan, rng)
+    true_makespan, measured = stage.run(rng)
     from ..flags.compiler import execute
     target = execute(program).codes
     return RunResult(
@@ -196,9 +157,9 @@ def run_work_stealing(
         n_workers=len(active),
         true_makespan=true_makespan,
         measured_time=measured,
-        trace=Trace(sim.events),
-        canvas=canvas,
-        correct=canvas.matches(target),
+        trace=Trace(stage.sim.events),
+        canvas=stage.canvas,
+        correct=stage.canvas.matches(target),
         extra={"steal_overhead": steal_overhead},
     )
 

@@ -4,11 +4,12 @@ Runs with implement contention or multi-owner cells cannot be advanced
 as batched arithmetic — which worker waits, for how long, and which
 stroke lands last on a shared cell all depend on the sampled durations.
 For those runs the vector backend replays the *real* generators
-(:func:`repro.schedule.runner.paint_worker`, driven by the real team and
-RNG stream) on a stripped-down kernel that reproduces the reference
-engine's scheduling decisions exactly but skips everything metric
-payloads do not need: event logging, observers, traces, interrupt
-epochs, and the full :class:`~repro.grid.canvas.Canvas` bookkeeping.
+(:func:`repro.schedule.runner.paint_worker`, the one worker every
+reference run uses, driven by the real team and RNG stream) on a
+stripped-down kernel that reproduces the reference engine's scheduling
+decisions exactly but skips everything metric payloads do not need:
+event logging, observers, traces, interrupt epochs, and the full
+:class:`~repro.grid.canvas.Canvas` bookkeeping.
 
 Fidelity notes:
 
@@ -27,12 +28,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ...agents.team import Team
-from ...schedule.runner import marker_name, paint_worker
+from ...schedule.runner import build_resources, paint_worker
 from ..engine import (
     Acquire,
     ProcessGen,
@@ -67,9 +69,11 @@ class _StubCanvas:
 class _MiniKernel:
     """A logging-free event loop with the reference engine's scheduling.
 
-    Supports exactly the command set ``paint_worker`` yields on clean
-    runs — :class:`Timeout`, :class:`Acquire`, :class:`Release` — plus
-    the ``log``/``now`` surface the worker generator reads.  Reuses the
+    Supports exactly the command set ``paint_worker`` yields without a
+    fault plan — :class:`Timeout`, :class:`Acquire`, :class:`Release` —
+    plus the ``log``/``now`` surface the worker generator reads.  It
+    never throws stalls, kills or resource failures into a worker, so
+    the worker's fault handling stays dormant.  Reuses the
     real :class:`~repro.sim.engine.ResourceHandle` so FIFO queue and
     capacity semantics are shared code, not a copy.
     """
@@ -164,17 +168,14 @@ def run_replay_trial(run: RunPlan, team: Team,
     """
     sim = _MiniKernel()
     canvas = _StubCanvas(run.rows, run.cols)
-    resources = {
-        c: sim.resource(marker_name(c), capacity=team.kit.copies)
-        for c in run.sorted_colors
-    }
+    resources = build_resources(sim, team, run.sorted_colors)
     last_holder: Dict[str, str] = {}
     students = team.colorers(run.n_active)
     for student, ops in zip(students, run.active_ops):
         sim.add_process(
             student.name,
-            paint_worker(sim, student, ops, team, canvas, resources, rng,
-                         style=run.style, policy=run.policy,
+            paint_worker(sim, student, deque(ops), team, canvas, resources,
+                         rng, style=run.style, policy=run.policy,
                          last_holder=last_holder),
         )
     true_makespan = sim.run()

@@ -5,8 +5,9 @@ Two properties carry the whole subsystem:
 1. Same seed + same FaultPlan => byte-identical traces (replays are
    exact, so classroom chaos demos are reproducible).
 2. A fault-free plan (empty) produces a trace byte-identical to passing
-   no plan at all — the resilient worker path is a strict superset of
-   the clean path, not a parallel implementation that drifts.
+   no plan at all, under every scenario and acquire policy: faulty and
+   clean runs drive the same ``paint_worker``, and the fault handling
+   stays dormant until a fault fires.
 """
 
 import json
@@ -24,17 +25,18 @@ from repro.faults import (
 )
 from repro.flags import mauritius
 from repro.flags.compiler import compile_flag
-from repro.schedule import get_scenario, run_scenario
+from repro.schedule import AcquirePolicy, get_scenario, run_scenario
 from repro.sim.export import export_events
 
 
-def run(plan, seed=11, scenario=4, policy=RecoveryPolicy.REDISTRIBUTE):
+def run(plan, seed=11, scenario=4, policy=RecoveryPolicy.REDISTRIBUTE,
+        acquire=AcquirePolicy.HOLD_COLOR_RUN):
     spec = mauritius()
     team = make_team("team", 4, np.random.default_rng(seed),
                      colors=list(spec.colors_used()))
     rng = np.random.default_rng(seed)
     return run_scenario(get_scenario(scenario), spec, team, rng,
-                        fault_plan=plan,
+                        policy=acquire, fault_plan=plan,
                         recovery=RecoveryConfig(policy=policy))
 
 
@@ -66,18 +68,15 @@ class TestByteIdentity:
         assert a.true_makespan == b.true_makespan
         assert a.faults.summary() == b.faults.summary()
 
-    def test_empty_plan_matches_no_plan_exactly(self):
-        clean = run(None)
-        empty = run(FaultPlan())
+    @pytest.mark.parametrize("acquire", list(AcquirePolicy))
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    def test_empty_plan_matches_no_plan_exactly(self, scenario, acquire):
+        clean = run(None, scenario=scenario, acquire=acquire)
+        empty = run(FaultPlan(), scenario=scenario, acquire=acquire)
         assert trace_bytes(clean) == trace_bytes(empty)
         assert clean.true_makespan == empty.true_makespan
         assert clean.measured_time == empty.measured_time
         assert np.array_equal(clean.canvas.codes, empty.canvas.codes)
-
-    def test_empty_plan_matches_no_plan_on_uncontended_scenario(self):
-        clean = run(None, scenario=3)
-        empty = run(FaultPlan(), scenario=3)
-        assert trace_bytes(clean) == trace_bytes(empty)
 
     def test_different_seeds_differ(self):
         plan = make_plan()

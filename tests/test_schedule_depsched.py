@@ -124,3 +124,18 @@ class TestLayeredCurve:
         med1 = np.median([r.true_makespan for r in curve[1]])
         med2 = np.median([r.true_makespan for r in curve[2]])
         assert med2 < med1
+
+    def test_adjacent_seeds_do_not_share_trials(self):
+        """Batch seed=0 trial 1 and batch seed=1 trial 0 are different
+        runs: trial streams are spawned, never ``seed + t``."""
+        spec = great_britain()
+
+        def curve(seed, trials):
+            return layered_speedup_curve(
+                spec,
+                team_factory=lambda rng, n: make_team(
+                    "t", n, rng, colors=list(spec.colors_used()), copies=n),
+                workers=[2], seed=seed, trials=trials)[2]
+
+        assert (curve(0, 2)[1].true_makespan
+                != curve(1, 1)[0].true_makespan)

@@ -1,5 +1,7 @@
 """Tests for repro.schedule.worksteal."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from repro.flags import (
     canada,
     compile_flag,
     diagonal_bicolor,
+    france,
     great_britain,
     mauritius,
     scenario_partition,
+    single,
     vertical_slices,
 )
 from repro.grid.palette import MAURITIUS_STRIPES
@@ -23,6 +27,7 @@ from repro.schedule.worksteal import (
     run_work_stealing,
     steal_back_half,
 )
+from repro.sim.export import export_events
 
 
 class TestStealBackHalf:
@@ -152,3 +157,25 @@ class TestRunWorkStealing:
                               fresh_team(9, slow_last=True, copies=4),
                               np.random.default_rng(9), steal_overhead=5.0)
         assert r.extra["steal_overhead"] == 5.0
+
+
+def trace_bytes(result):
+    return json.dumps(export_events(result.trace.events),
+                      sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("flag", [mauritius, france])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lone_worker_never_steals_and_equals_static_run(flag, seed):
+    """With no teammate to steal from, the stealing runner paints exactly
+    the static run: both share one stroke step."""
+    spec = flag()
+    prog = compile_flag(spec)
+    colors = list(spec.colors_used())
+    static = run_partition(single(prog), fresh_team(seed, colors=colors),
+                           np.random.default_rng(seed))
+    stealing = run_work_stealing(single(prog),
+                                 fresh_team(seed, colors=colors),
+                                 np.random.default_rng(seed))
+    assert trace_bytes(stealing) == trace_bytes(static)
+    assert stealing.measured_time == static.measured_time
