@@ -46,7 +46,7 @@ from .scenarios import (
     worker_name,
 )
 from .faultcheck import check_fault_plan
-from .preflight import cell_reports, check_cell
+from .preflight import cell_reports, check_cell, preflight_errors
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -76,4 +76,5 @@ __all__ = [
     "check_fault_plan",
     "cell_reports",
     "check_cell",
+    "preflight_errors",
 ]

@@ -10,11 +10,19 @@ cannot even be modeled (unknown flag, unsupported decomposition).
 
 ACTIVITY cells (scenario 0) run all four core scenarios back to back,
 so the gate checks each of the four; any scenario's error fails the
-cell.
+cell.  A fault plan on an ACTIVITY cell is itself an error: a plan
+targets one run, not the activity's sequence of runs.
+
+The verdict of :func:`preflight_errors` is a pure function of the cell,
+so it is memoized per cell (at most :data:`PREFLIGHT_MEMO_SIZE` cells,
+least recently used first out, per process).  :func:`check_cell` and
+:func:`cell_reports` are not memoized: they return fresh mutable lists
+and reports each call, which is what ``POST /analyze`` serves.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from ..flags.decompose import DecompositionError
@@ -38,12 +46,18 @@ def check_cell(cell: SweepCell) -> List[Issue]:
     return issues
 
 
+#: Cells whose :func:`preflight_errors` verdict is kept in memory.
+PREFLIGHT_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=PREFLIGHT_MEMO_SIZE)
 def preflight_errors(cell: SweepCell) -> Optional[str]:
     """The gate rule: a summary of the cell's ERROR findings, or ``None``.
 
     ``None`` means the cell may be dispatched; anything else is the
     text ``run_sweep``, the fabric and the service each put in their
-    refusal.  Warnings never refuse a cell.
+    refusal.  Warnings never refuse a cell.  Memoized per cell (see
+    the module docstring).
     """
     failed = [i for i in check_cell(cell) if i.severity is Severity.ERROR]
     return issues_summary(failed) if failed else None
@@ -56,10 +70,10 @@ def cell_reports(cell: SweepCell,
 
     Args:
         cell: the configuration to analyze.
-        failures: optional sink for modeling failures (unknown flag,
-            unsupported decomposition) — each becomes an ERROR issue
-            there instead of an exception, so gates can report them
-            structurally.
+        failures: optional sink for cell-level failures (fault plan
+            on an ACTIVITY cell, unknown flag, unsupported
+            decomposition) — each becomes an ERROR issue there instead
+            of an exception, so gates can report them structurally.
 
     Returns:
         One report per analyzable scenario (possibly empty when the
@@ -69,6 +83,12 @@ def cell_reports(cell: SweepCell,
 
     if failures is None:
         failures = []
+    activity = cell.scenario == ACTIVITY
+    if activity and cell.fault_plan is not None:
+        failures.append(error(
+            "fault_plan_on_activity",
+            "fault plans apply to single scenarios, not ACTIVITY cells",
+            subject=cell.fault_label))
     try:
         spec = get_flag(cell.flag)
     except KeyError as exc:
@@ -76,7 +96,7 @@ def cell_reports(cell: SweepCell,
                               subject=cell.flag))
         return []
 
-    scenarios = range(1, 5) if cell.scenario == ACTIVITY else [cell.scenario]
+    scenarios = range(1, 5) if activity else [cell.scenario]
     reports: List[AnalysisReport] = []
     for n in scenarios:
         try:

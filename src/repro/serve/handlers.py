@@ -8,7 +8,8 @@ network.  The flow for ``POST /run``:
 2. resolve the flag against the catalog — 404 ``flag_not_found``;
 3. static pre-flight (:mod:`repro.analyze.preflight`) — 422
    ``static_analysis_failed`` for configurations that cannot execute
-   correctly (undersized team, provable deadlock, bad fault target);
+   correctly (undersized team, provable deadlock, bad fault target),
+   memoized per cell;
 4. take an admission slot — or 429 + ``Retry-After``;
 5. read-through the :class:`~repro.sweep.cache.ResultCache` — a hit
    answers without touching the executor;
@@ -284,14 +285,17 @@ class ServeHandlers:
         """The result tier for one tenant: cache alone, or store+cache.
 
         Tiers are memoized per tenant path so their hit counters
-        accumulate across requests.
+        accumulate across requests.  Two executor threads may build a
+        tenant's first tier at once; ``setdefault`` publishes one and
+        both callers use it, so no counts land on a discarded tier.
         """
         if self.store is None:
             return self.cache
         tier = self._tiers.get(tenant)
         if tier is None:
-            tier = StoreTier(self.store, cache=self.cache, tenant=tenant)
-            self._tiers[tenant] = tier
+            tier = self._tiers.setdefault(
+                tenant, StoreTier(self.store, cache=self.cache,
+                                  tenant=tenant))
         return tier
 
     async def _route(self, method: str, path: str, body: bytes,
@@ -360,11 +364,14 @@ class ServeHandlers:
     def _preflight(self, cell) -> None:
         """Refuse statically-invalid work before it takes a slot.
 
-        Runs :func:`repro.analyze.preflight.check_cell` on the resolved
-        cell; any ERROR-severity finding (undersized team, provable
-        deadlock, fault plan naming a nonexistent target) becomes a 422
-        ``static_analysis_failed`` with the findings in the message, so
-        clients learn *why* before any executor time is spent.
+        Runs :func:`repro.analyze.preflight.preflight_errors` on the
+        resolved cell; any ERROR-severity finding (undersized team,
+        provable deadlock, fault plan naming a nonexistent target or on
+        an ACTIVITY cell) becomes a 422 ``static_analysis_failed`` with
+        the findings in the message, so clients learn *why* before any
+        executor time is spent.  The verdict is memoized per cell, so a
+        repeated cell — every warm cache hit — skips the re-analysis
+        but still passes through this gate before admission.
         """
         # Deferred: importing repro.analyze would lengthen server start-up.
         from ..analyze.preflight import preflight_errors

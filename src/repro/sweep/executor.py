@@ -234,10 +234,11 @@ def validate_cells(cells: List[SweepCell]) -> None:
     """Refuse statically-invalid cells before any trial is dispatched.
 
     Shared by :func:`run_sweep` and the fabric coordinator so every
-    execution path enforces the same gate: fault plans cannot target
-    ACTIVITY cells, and any ERROR-severity pre-flight finding
-    (undersized team, provable deadlock, fault plan naming a
-    nonexistent target) is a refusal.
+    execution path enforces the same gate as the service:
+    :func:`repro.analyze.preflight.preflight_errors`.  Any
+    ERROR-severity finding (fault plan on an ACTIVITY cell, undersized
+    team, provable deadlock, fault plan naming a nonexistent target) is
+    a refusal.
 
     Raises:
         SweepError: naming the offending cell and its findings.
@@ -247,11 +248,6 @@ def validate_cells(cells: List[SweepCell]) -> None:
     from ..analyze.preflight import preflight_errors
 
     for cell in cells:
-        if cell.scenario == ACTIVITY and cell.fault_plan is not None:
-            raise SweepError(
-                f"cell {cell.describe()!r}: fault plans apply to single "
-                f"scenarios, not ACTIVITY cells"
-            )
         errors = preflight_errors(cell)
         if errors:
             raise SweepError(

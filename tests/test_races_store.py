@@ -12,7 +12,11 @@ the CI ``race`` job replays it on happens-before shims.
 import json
 import threading
 
+from repro.obs import MetricsRegistry
 from repro.races import RaceSanitizer, maybe_sanitized
+from repro.serve.admission import AdmissionQueue
+from repro.serve.batcher import MicroBatcher
+from repro.serve.handlers import ServeHandlers
 from repro.store import ResultStore, StoreTier
 
 N_DIGESTS = 24
@@ -135,3 +139,33 @@ class TestAuditedCounters:
                 assert tier.store_hits == 8
         report = san.report()
         assert report.ok, report.format()
+
+
+class TestServeTenantTiers:
+    def test_concurrent_first_builds_share_one_tier(self, tmp_path):
+        # The barrier holds both threads inside StoreTier construction,
+        # so neither has published its tier when the other looks: the
+        # memo must still hand both callers the same tier, or the
+        # loser's hit/put counts land on a tier nobody reads again.
+        with ResultStore(tmp_path / "s.db") as store:
+            handlers = ServeHandlers(batcher=MicroBatcher(),
+                                     admission=AdmissionQueue(1),
+                                     registry=MetricsRegistry(),
+                                     store=store)
+            barrier = threading.Barrier(2, timeout=10)
+            ensure_tenant = store.ensure_tenant
+
+            def ensure_together(*args, **kwargs):
+                barrier.wait()
+                return ensure_tenant(*args, **kwargs)
+
+            store.ensure_tenant = ensure_together
+            got = []
+            in_threads(lambda: got.append(handlers._tier("public")),
+                       lambda: got.append(handlers._tier("public")))
+            store.ensure_tenant = ensure_tenant
+            assert len(got) == 2
+            assert got[0] is got[1]
+            for i, tier in enumerate(got):
+                tier.put(f"d{i}", payload(i))
+            assert handlers._tier("public").store_puts == 2

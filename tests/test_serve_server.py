@@ -22,6 +22,7 @@ from repro.serve import (
 )
 from repro.sweep import ResultCache, SweepSpec, TrialRecord, run_sweep
 from repro.sweep.executor import run_trial
+import repro.serve.batcher as batcher_module
 from repro.serve.protocol import RunRequest
 
 
@@ -156,18 +157,35 @@ class TestBackpressure:
             metrics = bg.client().metrics()
             assert "serve_admission_rejects_total 1" in metrics
 
-    def test_healthz_still_answers_under_load(self):
-        config = ServeConfig(max_pending=1, batch_window_s=0.4)
+    def test_healthz_still_answers_under_load(self, monkeypatch):
+        # The occupant's batch blocks until released, so it holds the
+        # only admission slot for as long as the test needs it.
+        release = threading.Event()
+        real_run_batch = batcher_module.run_batch
+
+        def gated_run_batch(tasks):
+            release.wait(timeout=30)
+            return real_run_batch(tasks)
+
+        monkeypatch.setattr(batcher_module, "run_batch", gated_run_batch)
+        config = ServeConfig(max_pending=1, batch_window_s=0.01)
         with BackgroundServer(config) as bg:
             t = threading.Thread(
                 target=lambda: bg.client().run(flag="poland",
                                                scenario=3, seed=93))
             t.start()
-            time.sleep(0.1)
-            health = bg.client().healthz()  # bypasses admission
-            t.join()
+            try:
+                deadline = time.monotonic() + 10.0
+                while bg.server.admission.depth < 1:
+                    assert time.monotonic() < deadline, \
+                        "the occupant never took its admission slot"
+                    time.sleep(0.005)
+                health = bg.client().healthz()  # bypasses admission
+            finally:
+                release.set()
+                t.join()
             assert health["status"] == "ok"
-            assert health["queue_depth"] >= 0
+            assert health["queue_depth"] == 1
 
 
 class TestDeadlines:
