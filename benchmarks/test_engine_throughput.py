@@ -1,22 +1,20 @@
 """Engine throughput: the vector backend vs the reference event loop.
 
-Runs one sweep cell's whole trial batch on both engines and records
-trials/sec to ``BENCH_engine.json`` at the repo root.  Two cells are
-measured: a contention-free cell that takes the vector engine's
-structure-of-arrays path (where the 10-100x win lives), and a
-contended scenario-4 cell that takes the scalar replay path (a smaller
-win — no event logs, traces, or canvas bookkeeping, but still one
-event loop per trial).  Identity is asserted alongside speed: the
-vector payloads must carry bit-identical metrics, so the speedup is
-never bought with drift.
+Runs one sweep cell's whole trial batch on both engines and prints
+the trials/sec comparison table.  Two cells are measured: a
+contention-free cell that takes the vector engine's structure-of-arrays
+path (where the 10-100x win lives), and a contended scenario-4 cell
+that takes the replay path (a smaller win — the same ``Simulator``
+event loop per trial, but no event log, trace or canvas bookkeeping).
+Identity is asserted alongside speed: the vector payloads must carry
+bit-identical metrics, so the speedup is never bought with drift.
 
 The acceptance shape (>= 10x on the batched SoA cell) holds on a
 single core — the vector engine wins by doing less Python, not by
-using more CPUs.
+using more CPUs.  Repeated, spread-reporting numbers for the vector
+backend come from ``perfbench/run.py --workload sweep_vector``.
 """
 
-import json
-import pathlib
 import time
 
 from repro.agents.student import FillStyle
@@ -28,8 +26,6 @@ from repro.sweep.spec import SweepCell
 from conftest import print_comparison
 
 N_TRIALS = 64
-BENCH_PATH = (pathlib.Path(__file__).resolve().parent.parent
-              / "BENCH_engine.json")
 
 METRICS = ("true_makespan", "measured_time", "correct")
 
@@ -97,8 +93,6 @@ def test_vector_batch_throughput(benchmark):
         "batched_soa_scenario3": soa,
         "replay_scenario4": replay,
     }
-    BENCH_PATH.write_text(json.dumps(report, indent=2, sort_keys=True)
-                          + "\n")
 
     print_comparison(
         f"engine throughput: {N_TRIALS}-trial batch, mauritius 6x8", [

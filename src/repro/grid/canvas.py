@@ -27,6 +27,33 @@ class CanvasError(Exception):
     """Raised for out-of-range cells or invalid canvas operations."""
 
 
+def codes_match(codes: np.ndarray, target: np.ndarray, *,
+                ignore_blank_target: bool = True) -> bool:
+    """Whether a color-code plane reproduces a target color-code image.
+
+    The one grading rule behind :meth:`Canvas.matches` and the vector
+    backend's stand-in canvases.
+
+    Args:
+        codes: int array of shape (rows, cols) of painted color codes.
+        target: int array of the same shape of expected color codes.
+        ignore_blank_target: when True, cells the target leaves blank may
+            be anything (mirrors the "white stripe can be omitted because
+            paper is white" grading rule from Section V-C).
+
+    Raises:
+        CanvasError: if the two shapes differ.
+    """
+    if target.shape != codes.shape:
+        rows, cols = codes.shape
+        raise CanvasError(
+            f"target shape {target.shape} != canvas {rows}x{cols}")
+    if ignore_blank_target:
+        care = target != 0
+        return bool(np.array_equal(codes[care], target[care]))
+    return bool(np.array_equal(codes, target))
+
+
 @dataclass(frozen=True)
 class Stroke:
     """One cell-coloring action, as recorded in the canvas history.
@@ -176,20 +203,13 @@ class Canvas:
     def matches(self, target: np.ndarray, *, ignore_blank_target: bool = True) -> bool:
         """Whether this canvas reproduces a target color-code image.
 
-        Args:
-            target: int array of shape (rows, cols) of expected color codes.
-            ignore_blank_target: when True, cells the target leaves blank may
-                be anything (mirrors the "white stripe can be omitted because
-                paper is white" grading rule from Section V-C).
+        See :func:`codes_match` for the grading rule.
+
+        Raises:
+            CanvasError: if the target's shape is not (rows, cols).
         """
-        if target.shape != (self.rows, self.cols):
-            raise CanvasError(
-                f"target shape {target.shape} != canvas {self.rows}x{self.cols}"
-            )
-        if ignore_blank_target:
-            care = target != 0
-            return bool(np.array_equal(self.codes[care], target[care]))
-        return bool(np.array_equal(self.codes, target))
+        return codes_match(self.codes, target,
+                           ignore_blank_target=ignore_blank_target)
 
     def diff(self, target: np.ndarray) -> List[Cell]:
         """Cells whose color differs from a target image (blank-sensitive)."""

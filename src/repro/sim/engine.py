@@ -8,16 +8,19 @@ seed and the same process set produce byte-identical traces; this property
 is load-bearing for the reproduction benchmarks and is covered by tests.
 
 Why build one instead of importing SimPy: the environment is offline, the
-kernel is ~200 lines, and owning it lets the trace layer log exactly the
-classroom-level events we need (strokes, implement handoffs) without
-adapter glue.
+whole kernel (interrupts, resource failure, watchdogs and deadlock
+diagnostics included) is this one module of under 800 lines, and owning
+it lets the trace layer log exactly the classroom-level events we need
+(strokes, implement handoffs) without adapter glue.  It is the only event
+loop in :mod:`repro.sim`: the vector backend's replay path runs on it
+too, with :meth:`Simulator.log` switched off.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -287,28 +290,20 @@ class ResourceHandle:
         self.failed = True
         self.repair_at = repair_at
 
-    @property
-    def permanently_failed(self) -> bool:
-        """Failed with no repair scheduled."""
-        return self.failed and self.repair_at is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ", FAILED" if self.failed else ""
         return (f"ResourceHandle({self.name!r}, capacity={self.capacity}, "
                 f"holders={self.holders}, queued={len(self.queue)}{state})")
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    seq: int
-    process: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-    #: Wakeup generation of the target process at scheduling time; a
-    #: mismatch at pop time means the process was interrupted meanwhile
-    #: and this wakeup is stale.  Kernel callbacks ("call" payloads) are
-    #: never stale.
-    epoch: int = field(compare=False, default=0)
+#: A heap entry: ``(time, seq, process, payload, epoch)``.  ``seq`` is
+#: unique, so entries order by ``(time, seq)`` and the tuple compare never
+#: reaches the process name.  ``payload`` is ``"start"``, ``None`` (a
+#: wakeup) or ``("call", fn, args)`` (a kernel callback, never stale).
+#: ``epoch`` is the target process's wakeup generation at scheduling
+#: time; a mismatch at pop time means the process was interrupted
+#: meanwhile and this wakeup is stale.
+_Entry = Tuple[float, int, str, Any, int]
 
 
 class Simulator:
@@ -337,7 +332,7 @@ class Simulator:
         self.observer = observer
         self.now: float = 0.0
         self.events: List[Event] = []
-        self._heap: List[_Scheduled] = []
+        self._heap: List[_Entry] = []
         self._seq = itertools.count()
         self._procs: Dict[str, ProcessGen] = {}
         self._done: Dict[str, float] = {}
@@ -389,11 +384,9 @@ class Simulator:
         if start_at < 0:
             raise SimulationError(f"negative start time for {name!r}")
         self._procs[name] = gen
-        heapq.heappush(
-            self._heap,
-            _Scheduled(start_at, next(self._seq), name, "start",
-                       epoch=self._epoch.get(name, 0)),
-        )
+        self._epoch[name] = 0
+        heapq.heappush(self._heap,
+                       (start_at, next(self._seq), name, "start", 0))
 
     def schedule_call(self, time: float, fn: Callable[..., Any],
                       *args: Any) -> None:
@@ -412,10 +405,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule a call at {time} < now {self.now}"
             )
-        heapq.heappush(
-            self._heap,
-            _Scheduled(time, next(self._seq), "", payload=("call", fn, args)),
-        )
+        heapq.heappush(self._heap,
+                       (time, next(self._seq), "", ("call", fn, args), 0))
 
     # -- logging -----------------------------------------------------------
     def log(self, kind: EventKind, agent: Optional[str] = None,
@@ -456,34 +447,35 @@ class Simulator:
         obs = self.observer
         if obs is not None:
             obs.on_run_start(self)
+        heap, epochs, step = self._heap, self._epoch, self._step
         dispatched = 0
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            name = item.process
-            is_call = isinstance(item.payload, tuple) and item.payload[0] == "call"
-            if not is_call and item.epoch != self._epoch.get(name, 0):
+        while heap:
+            item = heapq.heappop(heap)
+            time, _, name, payload, epoch = item
+            is_call = isinstance(payload, tuple)
+            if not is_call and epoch != epochs[name]:
                 continue  # stale wakeup: the process was interrupted
-            if until is not None and item.time > until:
+            if until is not None and time > until:
                 # Keep the event for a later run() call — dropping it
                 # would silently lose a process wakeup.
-                heapq.heappush(self._heap, item)
+                heapq.heappush(heap, item)
                 self.now = until
                 if obs is not None:
                     obs.on_run_end(self, self.now)
                 return self.now
-            if max_time is not None and item.time > max_time:
+            if max_time is not None and time > max_time:
                 raise WatchdogExceeded("time", max_time, self.now, dispatched)
-            if item.time < self.now:
+            if time < self.now:
                 raise SimulationError(
-                    f"time went backwards: {item.time} < {self.now}"
+                    f"time went backwards: {time} < {self.now}"
                 )
-            self.now = item.time
+            self.now = time
             dispatched += 1
             if max_events is not None and dispatched > max_events:
                 raise WatchdogExceeded("events", max_events, self.now,
                                        dispatched)
             if is_call:
-                _, fn, args = item.payload
+                _, fn, args = payload
                 if obs is not None:
                     obs.on_dispatch_start("<kernel>", self.now)
                     fn(*args)
@@ -491,14 +483,14 @@ class Simulator:
                 else:
                     fn(*args)
                 continue
-            if item.payload == "start":
+            if payload == "start":
                 self.log(EventKind.PROCESS_START, agent=name)
             if obs is not None:
                 obs.on_dispatch_start(name, self.now)
-                self._step(name)
+                step(name)
                 obs.on_dispatch_end(name, self.now)
             else:
-                self._step(name)
+                step(name)
         blocked = sorted(n for n in self._procs if n not in self._done)
         if blocked:
             raise self._deadlock_error(blocked)
@@ -506,12 +498,11 @@ class Simulator:
             obs.on_run_end(self, self.now)
         return self.now
 
-    def _step(self, name: str, send_value: Any = None,
-              throw: Optional[BaseException] = None) -> None:
+    def _step(self, name: str, throw: Optional[BaseException] = None) -> None:
         """Advance one process until it blocks, sleeps, or finishes.
 
         ``throw`` delivers an :class:`Interrupt` into the generator at its
-        current yield point instead of resuming it with a value.
+        current yield point instead of resuming it.
         """
         gen = self._procs[name]
         while True:
@@ -520,7 +511,7 @@ class Simulator:
                     exc, throw = throw, None
                     cmd = gen.throw(exc)
                 else:
-                    cmd = gen.send(send_value)
+                    cmd = gen.send(None)
             except StopIteration:
                 self._finish(name)
                 return
@@ -529,19 +520,28 @@ class Simulator:
                 # re-raise after cleanup): it dies here, not the kernel.
                 self._kill(name, exc)
                 return
-            send_value = None
             if isinstance(cmd, Timeout):
-                self._wake(name, self.now + cmd.delay)
+                heapq.heappush(self._heap,
+                               (self.now + cmd.delay, next(self._seq), name,
+                                None, self._epoch[name]))
                 return
             if isinstance(cmd, Acquire):
                 res = cmd.resource
-                if res.permanently_failed:
-                    # Deliver the failure into the process so it can
-                    # adapt (skip the color, drop the op, ...).
+                if res.failed and res.repair_at is None:
+                    # Permanently failed: deliver the failure into the
+                    # process so it can adapt (skip the color, drop the
+                    # op, ...).
                     throw = ResourceFailure(res.name)
                     continue
-                if self._try_acquire(res, name):
+                self.log(EventKind.RESOURCE_REQUEST, agent=name,
+                         resource=res.name)
+                if (not res.failed and len(res.holders) < res.capacity
+                        and not res.queue):
+                    res.holders.append(name)
+                    self.log(EventKind.RESOURCE_ACQUIRE, agent=name,
+                             resource=res.name)
                     continue  # got it immediately; keep stepping
+                res.queue.append((next(self._seq), name))
                 return  # parked in the resource queue
             if isinstance(cmd, Release):
                 self._do_release(cmd.resource, name)
@@ -569,22 +569,10 @@ class Simulator:
     # -- scheduling helpers -------------------------------------------------
     def _wake(self, name: str, at: float) -> None:
         """Schedule a wakeup for a process, stamped with its epoch."""
-        heapq.heappush(
-            self._heap,
-            _Scheduled(at, next(self._seq), name,
-                       epoch=self._epoch.get(name, 0)),
-        )
+        heapq.heappush(self._heap, (at, next(self._seq), name, None,
+                                    self._epoch[name]))
 
     # -- resources ---------------------------------------------------------
-    def _try_acquire(self, res: ResourceHandle, name: str) -> bool:
-        self.log(EventKind.RESOURCE_REQUEST, agent=name, resource=res.name)
-        if not res.failed and len(res.holders) < res.capacity and not res.queue:
-            res.holders.append(name)
-            self.log(EventKind.RESOURCE_ACQUIRE, agent=name, resource=res.name)
-            return True
-        res.queue.append((next(self._seq), name))
-        return False
-
     def _grant_queued(self, res: ResourceHandle) -> None:
         """Hand a non-failed resource to queued waiters, FIFO, up to
         capacity, waking each at the current time."""
@@ -675,7 +663,7 @@ class Simulator:
     def _unpark(self, name: str) -> None:
         """Remove a process from every blocking structure and invalidate
         its pending wakeups (pre-interrupt bookkeeping)."""
-        self._epoch[name] = self._epoch.get(name, 0) + 1
+        self._epoch[name] += 1
         for res in self._resources.values():
             res.queue = [(s, w) for s, w in res.queue if w != name]
         deps = self._pending_deps.pop(name, None)

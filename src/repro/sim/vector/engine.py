@@ -3,14 +3,15 @@
 This is the engine behind ``--backend vector``: it compiles the cell
 once (:mod:`repro.sim.vector.plan`), derives every trial's RNG stream
 from the standard seeding policy (:mod:`repro.sweep.seeding`), builds
-the real per-trial teams, and then advances each scenario run for all
-trials together — on the structure-of-arrays path when the run is
-contention-free, on the stripped scalar replay path otherwise.  Either
-way, each run consumes exactly the standard normals the reference
-engine would (one per stroke plus two timer draws, plus any handoff /
-wait draws on the replay path), so the stream stays aligned across a
-mixed soa/replay run sequence and every per-trial metric is identical
-to the reference engine's.
+the real per-trial teams, and then advances each scenario run.  A
+contention-free run takes the structure-of-arrays path, all trials at
+once; any other run is replayed trial by trial on the reference
+:class:`~repro.sim.engine.Simulator` with its event log switched off
+(:mod:`repro.sim.vector.replay`).  Either way, each run consumes exactly
+the standard normals the reference engine would (one per stroke plus two
+timer draws, plus any handoff / wait draws on the replay path), so the
+stream stays aligned across a mixed soa/replay run sequence and every
+per-trial metric is identical to the reference engine's.
 
 Payloads are metric-only — no ``"trace"`` key — which is why vector
 results live under distinct cache addresses (see

@@ -14,8 +14,8 @@ Two execution paths exist (see :mod:`repro.sim.vector`):
   run is a pure sequence of stroke-time draws and can be advanced for
   all trials at once as structure-of-arrays numpy math.
 - ``"replay"``: anything else (shared implements, multi-owner cells).
-  The run still skips the reference engine's logging/observer machinery
-  but must replay the event interleaving per trial
+  The run must replay the event interleaving per trial, on the
+  reference kernel with its event log switched off
   (:mod:`repro.sim.vector.replay`).
 """
 
@@ -33,6 +33,7 @@ from ...flags import get_flag
 from ...flags.compiler import compile_flag
 from ...flags.decompose import Partition
 from ...flags.spec import FlagSpec, PaintOp, PaintProgram
+from ...grid.canvas import codes_match
 from ...grid.palette import Color
 from ...schedule.runner import AcquirePolicy
 from ...schedule.scenario import core_scenarios
@@ -146,12 +147,6 @@ def _final_codes(program: PaintProgram) -> np.ndarray:
     return codes
 
 
-def _matches(codes: np.ndarray, target: np.ndarray) -> bool:
-    """Section V-C lenient grading: blank target cells may hold anything."""
-    care = target != 0
-    return bool(np.array_equal(codes[care], target[care]))
-
-
 def _plan_run(program: PaintProgram, partition: Partition, label: str,
               style: FillStyle, policy: AcquirePolicy, kit: ImplementKit,
               target: np.ndarray) -> RunPlan:
@@ -174,7 +169,7 @@ def _plan_run(program: PaintProgram, partition: Partition, label: str,
             comp[w, k] = op.complexity
             speed[w, k] = implement.speed_factor
             var[w, k] = implement.variability
-    correct = _matches(_final_codes(program), target)
+    correct = codes_match(_final_codes(program), target)
     return RunPlan(label=label, strategy=partition.strategy, style=style,
                    policy=policy, rows=program.rows, cols=program.cols,
                    active_ops=active_ops, sorted_colors=sorted_colors,

@@ -23,6 +23,14 @@ from repro.sim.engine import (
 from repro.sim.events import EventKind
 
 
+class UnloggedSimulator(Simulator):
+    """A kernel whose ``log`` appends no event and draws no sequence
+    number — the way the vector replay path runs the kernel."""
+
+    def log(self, kind, agent=None, **data):
+        return None
+
+
 def make_worker(sim, name, script, resources):
     """A process following a (kind, arg) script.
 
@@ -68,12 +76,16 @@ class TestKernelFuzz:
     @settings(max_examples=80, deadline=None)
     def test_always_terminates_consistently(self, scripts, n_resources,
                                             capacity):
+        def soup(sim):
+            resources = [sim.resource(f"r{i}", capacity=capacity)
+                         for i in range(n_resources)]
+            for i, script in enumerate(scripts):
+                sim.add_process(f"w{i}", make_worker(sim, f"w{i}", script,
+                                                     resources))
+            return resources
+
         sim = Simulator()
-        resources = [sim.resource(f"r{i}", capacity=capacity)
-                     for i in range(n_resources)]
-        for i, script in enumerate(scripts):
-            sim.add_process(f"w{i}", make_worker(sim, f"w{i}", script,
-                                                 resources))
+        resources = soup(sim)
         makespan = sim.run()
 
         # Every process finished.
@@ -91,6 +103,13 @@ class TestKernelFuzz:
                      if e.kind == EventKind.STROKE_START)
         ends = sum(1 for e in sim.events if e.kind == EventKind.STROKE_END)
         assert starts == ends
+        # The event log never steers scheduling: without it, every
+        # process finishes at the same time.
+        unlogged = UnloggedSimulator()
+        soup(unlogged)
+        assert unlogged.run() == makespan
+        assert unlogged.finish_times == sim.finish_times
+        assert unlogged.events == []
 
     @given(
         scripts=st.lists(script_steps, min_size=1, max_size=4),

@@ -314,6 +314,31 @@ class TestScheduledCalls:
         sim.run()
         assert fired == [4.0]
 
+    @pytest.mark.parametrize("call_first", [True, False])
+    def test_call_and_wakeup_at_one_time_run_in_scheduled_order(
+            self, call_first):
+        """A call and a process wakeup due at the same simulated time run
+        in the order they were scheduled."""
+        sim = Simulator()
+        order = []
+
+        def napper():
+            yield Timeout(2.0)  # schedules its wakeup when it starts
+            order.append("wake")
+
+        def caller():
+            sim.schedule_call(2.0, order.append, "call")
+            yield from ()
+
+        procs = [("caller", caller()), ("napper", napper())]
+        if not call_first:
+            procs.reverse()
+        for name, gen in procs:
+            sim.add_process(name, gen)
+        sim.run()
+        assert order == (["call", "wake"] if call_first
+                         else ["wake", "call"])
+
     def test_past_call_rejected(self):
         sim = Simulator()
         sim.add_process("a", sleeper(sim, "a", 10.0))
