@@ -194,8 +194,8 @@ class ServeHandlers:
                                f"{type(exc).__name__}: {exc}"),
                     {})
 
-    def _authenticate(self, path: str,
-                      headers: Dict[str, str]) -> RequestContext:
+    async def _authenticate(self, path: str,
+                            headers: Dict[str, str]) -> RequestContext:
         """Resolve the request's tenant from its (optional) Bearer token.
 
         Without a store every request acts as the default tenant.  With
@@ -205,7 +205,9 @@ class ServeHandlers:
         client knows to renew rather than re-check the secret), 403
         ``token_revoked`` for a dead one — and when the server requires
         tokens, protected endpoints refuse tokenless requests with 401
-        ``token_missing``.
+        ``token_missing``.  The token lookup runs through
+        :meth:`_offload`, so a request waiting on the store lock does
+        not stall the loop; tokenless requests never touch the store.
         """
         token = None
         auth = headers.get("authorization", "")
@@ -222,7 +224,8 @@ class ServeHandlers:
                     f"on this server")
             return RequestContext(tenant=self.default_tenant)
         try:
-            tenant = self.store.authenticate(token)
+            tenant = await self._offload(
+                lambda: self.store.authenticate(token))
         except AuthError as exc:
             if exc.reason == "revoked":
                 raise ProtocolError(403, "token_revoked",
@@ -322,7 +325,7 @@ class ServeHandlers:
         if method != expected:
             raise ProtocolError(405, "method_not_allowed",
                                 f"{path} expects {expected}, got {method}")
-        ctx = self._authenticate(path, headers)
+        ctx = await self._authenticate(path, headers)
         query: Dict[str, str] = {}
         if query_string:
             query = {k: vs[-1] for k, vs in

@@ -39,7 +39,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .migrations import HEAD_VERSION, migrate as apply_migrations, \
     schema_version
@@ -282,10 +282,7 @@ class ResultStore:
             for row in self._conn.execute(
                     "SELECT id, kind FROM tenants").fetchall():
                 tenant_id, kind = int(row[0]), str(row[1])
-                usage = self._conn.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) "
-                    "FROM results WHERE tenant_id = ?",
-                    (tenant_id,)).fetchone()
+                n_results, n_bytes = self._usage(tenant_id)
                 sessions = self._conn.execute(
                     "SELECT COUNT(*) FROM sessions WHERE tenant_id = ?",
                     (tenant_id,)).fetchone()
@@ -293,8 +290,8 @@ class ResultStore:
                 out.append({
                     "path": self._tenant_path(tenant_id),
                     "kind": kind,
-                    "n_results": int(usage[0]),
-                    "bytes": int(usage[1]),
+                    "n_results": n_results,
+                    "bytes": n_bytes,
                     "n_sessions": int(sessions[0]),
                     "quota": None if quota is None else {
                         "max_results": quota.max_results,
@@ -428,6 +425,19 @@ class ResultStore:
             max_bytes=None if row[1] is None else int(row[1]),
             retry_after_s=float(row[2]))
 
+    def _usage(self, tenant_id: int) -> Tuple[int, int]:
+        """A tenant's stored result count and payload bytes.
+
+        The one spelling of the usage query: migration 5's
+        ``(tenant_id, nbytes)`` index covers it, so it never reads a
+        payload page and a quota check costs the same at any stored
+        volume.
+        """
+        row = self._conn.execute(
+            "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) "
+            "FROM results WHERE tenant_id = ?", (tenant_id,)).fetchone()
+        return int(row[0]), int(row[1])
+
     def quota(self, tenant: str) -> Optional[Quota]:
         """The tenant's quota, or ``None`` when unlimited."""
         with self._lock:
@@ -458,11 +468,7 @@ class ResultStore:
         quota = self._quota(tenant_id)
         if quota is None:
             return
-        usage = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) "
-            "FROM results WHERE tenant_id = ?",
-            (tenant_id,)).fetchone()
-        n_results, n_bytes = int(usage[0]), int(usage[1])
+        n_results, n_bytes = self._usage(tenant_id)
         if (quota.max_results is not None
                 and n_results + add_results > quota.max_results):
             raise QuotaExceeded(
@@ -628,8 +634,8 @@ class ResultStore:
         Two passes: results older than ``older_than_s`` (by creation
         stamp, against the store's clock) are dropped, then any tenant
         still over its quota loses oldest results until the budget
-        holds.  Sessions are never collected — they are the durable
-        record of record.
+        holds, each tenant's trim in one transaction.  Sessions are
+        never collected — they are the durable record of record.
         """
         deleted = 0
         with self._lock:
@@ -652,26 +658,26 @@ class ResultStore:
                 quota = self._quota(tenant_id)
                 if quota is None:
                     continue
-                while True:
-                    usage = self._conn.execute(
-                        "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) "
-                        "FROM results WHERE tenant_id = ?",
-                        (tenant_id,)).fetchone()
-                    n_results, n_bytes = int(usage[0]), int(usage[1])
-                    over = ((quota.max_results is not None
+                with self._conn:  # the tenant's whole trim, one commit
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    n_results, n_bytes = self._usage(tenant_id)
+                    while n_results and (
+                            (quota.max_results is not None
                              and n_results > quota.max_results)
                             or (quota.max_bytes is not None
-                                and n_bytes > quota.max_bytes))
-                    if not over or n_results == 0:
-                        break
-                    with self._conn:
+                                and n_bytes > quota.max_bytes)):
+                        digest, nbytes = self._conn.execute(
+                            "SELECT digest, nbytes FROM results "
+                            "WHERE tenant_id = ? "
+                            "ORDER BY created_at, digest LIMIT 1",
+                            (tenant_id,)).fetchone()
                         self._conn.execute(
-                            "DELETE FROM results WHERE tenant_id = ? "
-                            "AND digest = (SELECT digest FROM results "
-                            "  WHERE tenant_id = ? "
-                            "  ORDER BY created_at, digest LIMIT 1)",
-                            (tenant_id, tenant_id))
-                    deleted += 1
+                            "DELETE FROM results "
+                            "WHERE tenant_id = ? AND digest = ?",
+                            (tenant_id, digest))
+                        n_results -= 1
+                        n_bytes -= int(nbytes)
+                        deleted += 1
         return deleted
 
     # -- sessions --------------------------------------------------------

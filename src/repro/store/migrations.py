@@ -28,6 +28,11 @@ Version history:
 4. ``token_expiry`` — an optional ``expires_at`` deadline on tokens,
    so classroom credentials can be issued for the term instead of
    forever (``NULL`` keeps the pre-4 never-expires behavior).
+5. ``usage_index`` — a ``(tenant_id, nbytes)`` index on results, so a
+   tenant's usage (``COUNT(*)``, ``SUM(nbytes)``) is answered from the
+   index alone.  In the table ``nbytes`` sits after the large
+   ``payload`` column, so without it every quota check walks every
+   stored payload's overflow pages.
 """
 
 from __future__ import annotations
@@ -134,6 +139,16 @@ MIGRATIONS: Tuple[Migration, ...] = (
         name="token_expiry",
         statements=(
             "ALTER TABLE tokens ADD COLUMN expires_at DOUBLE PRECISION",
+        ),
+    ),
+    Migration(
+        version=5,
+        name="usage_index",
+        statements=(
+            """
+            CREATE INDEX idx_results_tenant_nbytes
+                ON results (tenant_id, nbytes)
+            """,
         ),
     ),
 )

@@ -14,6 +14,7 @@ import threading
 
 from repro.obs import MetricsRegistry
 from repro.races import RaceSanitizer, maybe_sanitized
+from repro.serve import BackgroundServer, ServeConfig
 from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import MicroBatcher
 from repro.serve.handlers import ServeHandlers
@@ -169,3 +170,51 @@ class TestServeTenantTiers:
             for i, tier in enumerate(got):
                 tier.put(f"d{i}", payload(i))
             assert handlers._tier("public").store_puts == 2
+
+
+class TestServeAuthOffLoop:
+    def test_token_lookup_waits_off_the_event_loop(self, tmp_path):
+        # Another thread holds the store lock (as a /sweep bulk persist
+        # does) while a Bearer request is in flight.  The token lookup
+        # must wait on an executor thread, not on the event loop: a
+        # tokenless /healthz on the same server still answers, and the
+        # authed request completes once the lock frees.
+        with ResultStore(tmp_path / "s.db") as store:
+            store.ensure_tenant("usi/cs1")
+            token = store.issue_token("usi/cs1")
+            looking_up = threading.Event()
+            authenticate = store.authenticate
+
+            def announced(plaintext):
+                looking_up.set()
+                return authenticate(plaintext)
+
+            store.authenticate = announced
+            config = ServeConfig(cache_dir=str(tmp_path / "cache"))
+            with BackgroundServer(config, store=store) as bg:
+                held, release = threading.Event(), threading.Event()
+
+                def hold_store_lock():
+                    with store._lock:
+                        held.set()
+                        release.wait(timeout=30)
+
+                got = {}
+                holder = threading.Thread(target=hold_store_lock)
+                authed = threading.Thread(target=lambda: got.update(
+                    bg.client(token=token, timeout_s=30).tenants()))
+                holder.start()
+                try:
+                    assert held.wait(timeout=10)
+                    authed.start()
+                    assert looking_up.wait(timeout=10)
+                    health = bg.client(timeout_s=5).healthz()
+                    assert health["status"] == "ok"
+                    assert authed.is_alive()  # still behind the lock
+                finally:
+                    release.set()
+                    holder.join(timeout=10)
+                authed.join(timeout=30)
+                assert not holder.is_alive()
+                assert not authed.is_alive()
+                assert [t["path"] for t in got["tenants"]] == ["usi/cs1"]

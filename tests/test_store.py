@@ -47,6 +47,7 @@ class TestMigrations:
         with ResultStore(tmp_path / "s.db", migrate=False) as store:
             applied = store.migrate()
         assert applied == [f"{m.version}:{m.name}" for m in MIGRATIONS]
+        assert applied[-1] == "5:usage_index"
 
     def test_from_v1_schema_to_head(self, tmp_path):
         """A database stopped at the historical v1 schema upgrades
@@ -59,10 +60,18 @@ class TestMigrations:
             store._conn.execute(
                 "INSERT INTO tenants (name, kind, parent_id, created_at) "
                 "VALUES ('usi', 'institution', NULL, 0.0)")
+            store._conn.execute(
+                "INSERT INTO results (digest, tenant_id, kind, payload, "
+                "nbytes, created_at) VALUES ('v1', 1, 'sweep_cell', "
+                "'{\"v\":0}', 7, 0.0)")
             store._conn.commit()
         with ResultStore(path) as store:  # reopen: auto-migrate to head
             assert store.schema_version == HEAD_VERSION
-            assert [t["path"] for t in store.tenants()] == ["usi"]
+            assert store._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'index' "
+                "AND name = 'idx_results_tenant_nbytes'").fetchone()
+            assert [(t["path"], t["n_results"], t["bytes"])
+                    for t in store.tenants()] == [("usi", 1, 7)]
             store.put_result("d", {"v": 1}, tenant="usi")
             assert store.get_result("d", tenant="usi") == {"v": 1}
 
@@ -81,6 +90,83 @@ class TestMigrations:
             store.migrate(target=1)
             with pytest.raises(StoreError, match="repro store migrate"):
                 store.ensure_tenant("usi")
+
+    def test_usage_query_reads_only_the_covering_index(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            usi = store.ensure_tenant("usi")
+            for i in range(3):
+                store.put_result(f"d{i}", {"pad": "x" * 4000},
+                                 tenant="usi")
+            seen = []
+            store._conn.set_trace_callback(seen.append)
+            try:
+                assert store._usage(usi.id) == (3, 3 * 4010)
+            finally:
+                store._conn.set_trace_callback(None)
+            (query,) = seen
+            plan = " ".join(str(row[-1]) for row in store._conn.execute(
+                "EXPLAIN QUERY PLAN " + query))
+            assert "COVERING INDEX idx_results_tenant_nbytes" in plan
+
+    def test_v4_quota_boundaries_survive_the_usage_index(
+            self, tmp_path, monkeypatch):
+        """Usage, gate verdicts and the exact count and byte limits at
+        which puts are refused read the same at v4 and at head."""
+        import repro.store.core as store_core
+
+        def probe(store):
+            out = [(t["path"], t["n_results"], t["bytes"], t["quota"])
+                   for t in store.tenants()]
+            for add in ({"add_results": 2}, {"add_results": 3},
+                        {"add_bytes": 200}, {"add_bytes": 201}):
+                try:
+                    store.check_quota("usi", **add)
+                    out.append(("ok", add))
+                except QuotaExceeded as exc:
+                    out.append(("refused", add, str(exc)))
+            # {"pad":""} is 10 bytes: 150 fits, 51 more busts the byte
+            # limit, 50 more lands on it exactly, then the count is full.
+            for digest, pad in (("p0", 140), ("p1", 41), ("p1", 40),
+                                ("p2", 0)):
+                try:
+                    store.put_result(digest, {"pad": "x" * pad},
+                                     tenant="usi")
+                    out.append(("put", digest, pad))
+                except QuotaExceeded as exc:
+                    out.append(("refused", digest, pad, str(exc)))
+            return out
+
+        path, copy = tmp_path / "v4.db", tmp_path / "v4-copy.db"
+        monkeypatch.setattr(store_core, "HEAD_VERSION", 4)
+        with ResultStore(path, migrate=False) as store:
+            store.migrate(target=4)
+            store.ensure_tenant("usi")
+            store.ensure_tenant("hpu")
+            for i in range(30):
+                store.put_result(f"d{i}", {"i": i, "pad": "x" * (i * 37)},
+                                 tenant="usi")
+                if i % 6 == 0:
+                    store.put_result(f"h{i}", {"i": i}, tenant="hpu")
+            (usi,) = [t for t in store.tenants() if t["path"] == "usi"]
+            n_bytes = usi["bytes"]
+            store.set_quota("usi", max_results=32, max_bytes=n_bytes + 200,
+                            retry_after_s=5.0)
+        shutil.copyfile(path, copy)
+        with ResultStore(copy, migrate=False) as store:
+            assert store.schema_version == 4
+            at_v4 = probe(store)
+        monkeypatch.undo()
+        with ResultStore(path) as store:  # reopen: auto-migrate to head
+            assert store.schema_version == HEAD_VERSION
+            at_head = probe(store)
+        assert at_head == at_v4
+        outcomes = [entry[0] for entry in at_v4[2:]]
+        assert outcomes == ["ok", "refused", "ok", "refused",
+                            "put", "refused", "put", "refused"]
+        assert "is at 30 of 32 results" in at_v4[3][2]
+        assert f"is at {n_bytes} of {n_bytes + 200} bytes" in at_v4[5][2]
+        assert f"is at {n_bytes + 150} of" in at_v4[7][3]
+        assert "is at 32 of 32 results" in at_v4[9][3]
 
     def test_versions_are_ordered_and_unique(self):
         versions = [m.version for m in MIGRATIONS]
@@ -330,6 +416,27 @@ class TestResults:
             assert store.gc() == 3
             kept = [r["digest"] for r in store.results()]
             assert sorted(kept) == ["d3", "d4"]
+
+    def test_gc_trims_many_rows_in_age_then_digest_order(self, tmp_path):
+        # 24 rows over 12 timestamps, each shared by two digests, so the
+        # digest tie-break decides which of a pair goes first.
+        clock = {"now": 0.0}
+        with ResultStore(tmp_path / "s.db",
+                         clock=lambda: clock["now"]) as store:
+            store.ensure_tenant("usi")
+            store.ensure_tenant("hpu")
+            for i in range(24):
+                if i % 2 == 0:
+                    clock["now"] += 1.0
+                digest = f"{'b' if i % 2 == 0 else 'a'}{i // 2:02d}"
+                store.put_result(digest, {"i": i}, tenant="usi",
+                                 enforce_quota=False)
+                store.put_result(f"h{i}", {"i": i}, tenant="hpu")
+            store.set_quota("usi", max_results=3)
+            assert store.gc() == 21
+            kept = sorted(r["digest"] for r in store.results(tenant="usi"))
+            assert kept == ["a11", "b10", "b11"]
+            assert len(store.results(tenant="hpu")) == 24
 
 
 class TestTokenExpiry:
