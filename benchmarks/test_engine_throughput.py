@@ -1,11 +1,13 @@
 """Engine throughput: the vector backend vs the reference event loop.
 
 Runs one sweep cell's whole trial batch on both engines and prints
-the trials/sec comparison table.  Two cells are measured: a
+the trials/sec comparison table.  Three cells are measured: a
 contention-free cell that takes the vector engine's structure-of-arrays
-path (where the 10-100x win lives), and a contended scenario-4 cell
-that takes the replay path (a smaller win — the same ``Simulator``
-event loop per trial, but no event log, trace or canvas bookkeeping).
+path (where the 10-100x win lives), a layered jordan scenario-2 cell
+whose multi-owner cells the same path grades per trial, and a contended
+scenario-4 cell that takes the replay path (a smaller win — the same
+``Simulator`` event loop per trial, but no event log, trace or canvas
+bookkeeping).
 Identity is asserted alongside speed: the vector payloads must carry
 bit-identical metrics, so the speedup is never bought with drift.
 
@@ -30,8 +32,8 @@ N_TRIALS = 64
 METRICS = ("true_makespan", "measured_time", "correct")
 
 
-def _cell(scenario: int) -> SweepCell:
-    return SweepCell(flag="mauritius", scenario=scenario, team_size=6,
+def _cell(scenario: int, flag: str = "mauritius") -> SweepCell:
+    return SweepCell(flag=flag, scenario=scenario, team_size=6,
                      policy=AcquirePolicy.HOLD_COLOR_RUN,
                      style=FillStyle.SCRIBBLE, rows=6, cols=8)
 
@@ -81,16 +83,20 @@ def _entry(path: str, ref_s: float, vec_s: float) -> dict:
 def test_vector_batch_throughput(benchmark):
     soa_ref_s, soa_vec_s, soa_identical = benchmark.pedantic(
         lambda: _measure(_cell(3)), rounds=1, iterations=1)
+    multi_ref_s, multi_vec_s, multi_identical = _measure(_cell(2, "jordan"))
     replay_ref_s, replay_vec_s, replay_identical = _measure(_cell(4))
 
-    assert soa_identical and replay_identical
+    assert soa_identical and multi_identical and replay_identical
 
     soa = _entry("soa", soa_ref_s, soa_vec_s)
+    multi = _entry("soa", multi_ref_s, multi_vec_s)
     replay = _entry("replay", replay_ref_s, replay_vec_s)
     report = {
         "bench": "engine_throughput",
-        "cell": "mauritius 6x8, team_size=6, seed=11",
+        "cell": "mauritius (jordan for multi-owner) 6x8, team_size=6, "
+                "seed=11",
         "batched_soa_scenario3": soa,
+        "multi_owner_soa_jordan_scenario2": multi,
         "replay_scenario4": replay,
     }
 
@@ -98,6 +104,8 @@ def test_vector_batch_throughput(benchmark):
         f"engine throughput: {N_TRIALS}-trial batch, mauritius 6x8", [
             ["soa speedup", ">= 10x", f"{soa['speedup']:.1f}x"],
             ["soa trials/s", "-", f"{soa['vector_trials_per_s']:.0f}"],
+            ["multi-owner soa speedup (jordan s2)", "-",
+             f"{multi['speedup']:.1f}x"],
             ["replay speedup", "> 1x", f"{replay['speedup']:.1f}x"],
             ["replay trials/s", "-",
              f"{replay['vector_trials_per_s']:.0f}"],

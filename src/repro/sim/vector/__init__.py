@@ -5,6 +5,12 @@ per-trial metrics bit-identical to the reference event-loop engine —
 the contract and selection rules live in :mod:`repro.sim.backend`, the
 worked guide in ``docs/backends.md``.
 
+A run whose workers hold disjoint color sets, with no implement
+faults, is advanced for the whole batch as array arithmetic, including
+layered runs where two workers paint the same cell (graded per trial
+by which stroke lands last).  Runs that share an implement are
+replayed trial by trial on the reference kernel.
+
 Public surface:
 
 - :func:`run_vector_cell` — all trials of one cell as one batch (a

@@ -4,8 +4,10 @@ This is the engine behind ``--backend vector``: it compiles the cell
 once (:mod:`repro.sim.vector.plan`), derives every trial's RNG stream
 from the standard seeding policy (:mod:`repro.sweep.seeding`), builds
 the real per-trial teams, and then advances each scenario run.  A
-contention-free run takes the structure-of-arrays path, all trials at
-once; any other run is replayed trial by trial on the reference
+contention-free run (disjoint worker colors, no faults; cells may have
+several owners) takes the structure-of-arrays path, all trials at
+once; a run that shares an implement is replayed trial by trial on the
+reference
 :class:`~repro.sim.engine.Simulator` with its event log switched off
 (:mod:`repro.sim.vector.replay`).  Either way, each run consumes exactly
 the standard normals the reference engine would (one per stroke plus two

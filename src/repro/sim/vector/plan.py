@@ -9,11 +9,13 @@ Two execution paths exist (see :mod:`repro.sim.vector`):
 
 - ``"soa"``: the run is *contention-free* — the active workers' color
   sets are pairwise disjoint (no worker ever waits for or hands off an
-  implement), every painted cell has a single owner (the final canvas
-  is trial-independent), and no implement can fault mid-stroke.  Such a
-  run is a pure sequence of stroke-time draws and can be advanced for
-  all trials at once as structure-of-arrays numpy math.
-- ``"replay"``: anything else (shared implements, multi-owner cells).
+  implement) and no implement can fault mid-stroke.  Such a run is a
+  pure sequence of stroke-time draws and can be advanced for all trials
+  at once as structure-of-arrays numpy math.  Cells painted by one
+  worker fold into a fixed verdict here; a cell two workers paint (a
+  layered flag split across workers) is *contested*, and the plan keeps
+  each owner's last stroke on it so the batch can grade it per trial.
+- ``"replay"``: anything else (shared implements, implement faults).
   The run must replay the event interleaving per trial, on the
   reference kernel with its event log switched off
   (:mod:`repro.sim.vector.replay`).
@@ -60,8 +62,14 @@ class RunPlan:
         comp / speed / var: (soa) per-(worker, stroke) complexity,
             implement speed factor, and implement variability, padded
             to the widest worker (padding is never read).
-        correct: (soa) whether the run reproduces the target — with a
-            single owner per cell this is trial-independent.
+        correct: (soa) whether the uncontested cells reproduce the
+            target; with no contested cell this is the run's verdict.
+        last_w / last_k / last_ok: (soa) one row per contested cell
+            whose target is not blank, one column per owning worker:
+            the worker, the index of its last stroke on the cell, and
+            whether that stroke's color is the target's.  Rows with
+            fewer owners repeat their first entry.  ``None`` when no
+            cell is contested.
     """
 
     label: str
@@ -79,17 +87,14 @@ class RunPlan:
     speed: Optional[np.ndarray] = None
     var: Optional[np.ndarray] = None
     correct: Optional[bool] = None
+    last_w: Optional[np.ndarray] = None
+    last_k: Optional[np.ndarray] = None
+    last_ok: Optional[np.ndarray] = None
 
     @property
     def n_active(self) -> int:
         """Workers that actually color in this run."""
         return len(self.active_ops)
-
-    @property
-    def n_draws(self) -> int:
-        """Standard normals one trial of this run consumes on the soa
-        path: one per stroke plus the timer's two reaction draws."""
-        return sum(len(ops) for ops in self.active_ops) + 2
 
 
 @dataclass(frozen=True)
@@ -106,15 +111,17 @@ def _soa_eligible(active_ops: Tuple[Tuple[PaintOp, ...], ...],
                   kit: ImplementKit) -> bool:
     """Whether a run is contention-free enough for the batched path.
 
-    Three conditions, each guarding one way per-trial state could leak
-    into the event interleaving or the final canvas:
+    Two conditions, each guarding one way per-trial state could leak
+    into the event interleaving:
 
     - no implement faults (a fault draw would shift the RNG stream and
       insert repair timeouts);
     - pairwise-disjoint worker color sets (no queueing, no handoffs —
-      an implement only ever returns to the hand that held it);
-    - a single owner per painted cell (the last stroke on a cell is
-      then fixed by program order, not by sampled stroke times).
+      an implement only ever returns to the hand that held it).
+
+    Cells with several owners are allowed: which stroke lands last on
+    them varies per trial, but painting never feeds back into timing,
+    so the batch grades them after the fact (see :func:`_grading`).
     """
     for ops in active_ops:
         for op in ops:
@@ -126,25 +133,47 @@ def _soa_eligible(active_ops: Tuple[Tuple[PaintOp, ...], ...],
         if colors & seen:
             return False
         seen |= colors
-    owner: Dict[Tuple[int, int], int] = {}
-    for w, ops in enumerate(active_ops):
-        for op in ops:
-            if owner.setdefault(op.cell, w) != w:
-                return False
     return True
 
 
-def _final_codes(program: PaintProgram) -> np.ndarray:
-    """The canvas a single-owner run always produces.
+def _grading(active_ops: Tuple[Tuple[PaintOp, ...], ...],
+             target: np.ndarray
+             ) -> Tuple[bool, Optional[np.ndarray], Optional[np.ndarray],
+                        Optional[np.ndarray]]:
+    """Split a run's grading into its fixed and per-trial parts.
 
-    With one owner per cell, each worker paints its cells in program
-    order, so the last write to every cell is the program-order last
-    op — the same fold the sequential painter's algorithm does.
+    Each worker paints its own strokes in order, so a cell with one
+    owner always ends up in that owner's last color: those cells fold
+    into one trial-independent verdict.  A contested cell ends up in
+    the color of whichever owner's last stroke lands last, which the
+    batch decides per trial; contested cells the target leaves blank
+    are skipped, as ``ignore_blank_target=True`` grading does.
+
+    Returns:
+        ``(correct, last_w, last_k, last_ok)`` as :class:`RunPlan`
+        documents them.
     """
-    codes = np.zeros((program.rows, program.cols), dtype=np.int8)
-    for op in program.ops:
-        codes[op.cell] = int(op.color)
-    return codes
+    codes = np.zeros(target.shape, dtype=np.int8)
+    last: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for w, ops in enumerate(active_ops):
+        for k, op in enumerate(ops):
+            codes[op.cell] = int(op.color)
+            last.setdefault(op.cell, {})[w] = k
+    fixed = target.copy()
+    rows: List[List[Tuple[int, int, bool]]] = []
+    for cell, owners in last.items():
+        if len(owners) < 2 or target[cell] == 0:
+            continue
+        fixed[cell] = 0
+        rows.append([(w, k, int(active_ops[w][k].color) == target[cell])
+                     for w, k in owners.items()])
+    correct = codes_match(codes, fixed)
+    if not rows:
+        return correct, None, None, None
+    width = max(len(row) for row in rows)
+    table = np.array([row + row[:1] * (width - len(row)) for row in rows],
+                     dtype=np.int64)
+    return correct, table[..., 0], table[..., 1], table[..., 2] == 1
 
 
 def _plan_run(program: PaintProgram, partition: Partition, label: str,
@@ -169,12 +198,13 @@ def _plan_run(program: PaintProgram, partition: Partition, label: str,
             comp[w, k] = op.complexity
             speed[w, k] = implement.speed_factor
             var[w, k] = implement.variability
-    correct = codes_match(_final_codes(program), target)
+    correct, last_w, last_k, last_ok = _grading(active_ops, target)
     return RunPlan(label=label, strategy=partition.strategy, style=style,
                    policy=policy, rows=program.rows, cols=program.cols,
                    active_ops=active_ops, sorted_colors=sorted_colors,
                    target=target, path="soa", counts=counts, comp=comp,
-                   speed=speed, var=var, correct=correct)
+                   speed=speed, var=var, correct=correct, last_w=last_w,
+                   last_k=last_k, last_ok=last_ok)
 
 
 def build_cell_plan(cell: Mapping[str, Any]) -> CellPlan:

@@ -1,8 +1,8 @@
 """The replay path: exact event interleaving, metrics only.
 
-Runs with implement contention or multi-owner cells cannot be advanced
-as batched arithmetic — which worker waits, for how long, and which
-stroke lands last on a shared cell all depend on the sampled durations.
+Runs with implement contention cannot be advanced as batched
+arithmetic — which worker waits, for how long, and how many handoff
+draws the stream takes all depend on the sampled durations.
 For those runs the vector backend replays the *real* generators
 (:func:`repro.schedule.runner.paint_worker`, the one worker every
 reference run uses, driven by the real team and RNG stream) on the

@@ -8,6 +8,11 @@ order* — the worker whose next wakeup is earliest draws next.  This
 module replays that arithmetic for a whole batch of trials as numpy
 arrays of shape ``(trials, workers, strokes)``.
 
+Painting never feeds back into timing, so a cell two workers paint
+(a layered flag split across workers) changes nothing above: the batch
+keeps each stroke's end time and dispatch index, and afterwards grades
+each such cell by the stroke that lands last (:func:`_last_writers_match`).
+
 Bit-identity with the reference engine is load-bearing (it is pinned by
 a tier-1 property test across the full catalog), so every floating-point
 expression here mirrors the scalar model's operation order exactly:
@@ -44,9 +49,35 @@ def _libm_exp(a: np.ndarray) -> np.ndarray:
     through makespans and break metric identity, so the batch path pays
     for scalar libm calls instead.
     """
-    flat = a.reshape(-1)
-    out = np.array([math.exp(v) for v in flat.tolist()], dtype=np.float64)
+    out = np.fromiter(map(math.exp, a.ravel().tolist()), np.float64, a.size)
     return out.reshape(a.shape)
+
+
+def _last_writers_match(end: np.ndarray, dispatch: np.ndarray,
+                        last_w: np.ndarray, last_k: np.ndarray,
+                        last_ok: np.ndarray) -> np.ndarray:
+    """Per trial, whether every contested cell ends in its target color.
+
+    The engine paints a stroke when its ``Timeout`` fires, and the heap
+    resumes timeouts in ``(time, seq)`` order.  Each stroke's timeout is
+    pushed right after its draw, so ``seq`` follows the dispatch index:
+    the stroke that lands last on a cell is the one with the largest
+    ``(end, dispatch)`` pair, a later dispatch winning an exact tie.
+
+    Args:
+        end / dispatch: ``(trials, workers, strokes)`` stroke end times
+            and dispatch indices.
+        last_w / last_k / last_ok: the plan's contested-cell table (see
+            :class:`~repro.sim.vector.plan.RunPlan`).
+
+    Returns:
+        A bool array with one verdict per trial.
+    """
+    e = end[:, last_w, last_k]
+    d = dispatch[:, last_w, last_k]
+    latest = e == e.max(axis=2, keepdims=True)
+    j = np.where(latest, d, -1).argmax(axis=2)
+    return last_ok[np.arange(last_ok.shape[0]), j].all(axis=1)
 
 
 def run_soa_batch(run: RunPlan, teams: Sequence[Team],
@@ -111,6 +142,7 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
     for b, rng in enumerate(rngs):
         Z[b] = rng.standard_normal(N + 2)
 
+    correct = np.full(B, run.correct)
     if W == 1:
         arg = loc[:, 0, :] + sig[:, 0, :] * Z[:, :N]
         d = M[:, 0, :] * _libm_exp(arg)
@@ -126,6 +158,12 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
         kk = np.zeros((B, W), dtype=np.int64)
         finish = np.zeros((B, W))
         rows = np.arange(B)
+        graded = run.last_w is not None
+        if graded:
+            # Contested cells are graded from each stroke's end time and
+            # dispatch index once the merge is done.
+            end = np.empty(M.shape)
+            dispatch = np.empty(M.shape, dtype=np.int32)
         for i in range(N):
             w = np.argmin(nd, axis=1)
             k = kk[rows, w]
@@ -133,10 +171,16 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
             d = M[rows, w, k] * _libm_exp(arg)
             t = nd[rows, w] + d
             finish[rows, w] = t
+            if graded:
+                end[rows, w, k] = t
+                dispatch[rows, w, k] = i
             done = k + 1
             kk[rows, w] = done
             nd[rows, w] = np.where(done == counts[w], np.inf, t)
         makespan = finish.max(axis=1)
+        if graded:
+            correct = correct & _last_writers_match(
+                end, dispatch, run.last_w, run.last_k, run.last_ok)
 
     # The timer student: measured = max(0, true + (start - stop) jitter),
     # where normal(0, s) on this stream is exactly 0.0 + s*z.
@@ -158,7 +202,7 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
             "n_workers": W,
             "true_makespan": float(makespan[b]),
             "measured_time": float(measured[b]),
-            "correct": bool(run.correct),
+            "correct": bool(correct[b]),
         }
         for b in range(B)
     ]

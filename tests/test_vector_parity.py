@@ -17,7 +17,8 @@ import pytest
 from repro.agents.student import FillStyle
 from repro.flags import available_flags
 from repro.schedule import AcquirePolicy
-from repro.sim.vector import run_vector_cell
+from repro.sim.vector import build_cell_plan, run_vector_cell
+from repro.sim.vector.soa import _last_writers_match
 from repro.sweep.executor import run_trial
 from repro.sweep.spec import ACTIVITY, SweepCell
 
@@ -75,6 +76,73 @@ def test_activity_parity(flag):
                      policy=AcquirePolicy.HOLD_COLOR_RUN,
                      style=FillStyle.SCRIBBLE)
     assert_cell_parity(cell, seed=7, n_trials=2)
+
+
+@pytest.mark.parametrize("flag,rows,cols", [("jordan", 6, 8),
+                                             ("canada", None, None)])
+def test_multi_owner_parity_where_correct_varies(flag, rows, cols):
+    """Layered scenario-2 runs: which stroke lands last varies per trial.
+
+    Two workers paint the same cells with disjoint colors, so the batch
+    grades those cells per trial.  The batch must hold both verdicts,
+    or the per-trial grading is not being exercised at all.
+    """
+    cell = SweepCell(flag=flag, scenario=2, team_size=6,
+                     policy=AcquirePolicy.HOLD_COLOR_RUN,
+                     style=FillStyle.SCRIBBLE, rows=rows, cols=cols)
+    assert build_cell_plan(cell.key_dict()).runs[0].last_w is not None
+    assert_cell_parity(cell, seed=11, n_trials=32)
+    vector = run_vector_cell(
+        [dict(task, backend="vector")
+         for task in _tasks(cell, seed=11, n_trials=32)])
+    verdicts = {v["runs"]["scenario2"]["correct"] for v in vector}
+    assert verdicts == {True, False}
+
+
+def _run_path(flag: str, scenario: int):
+    cell = SweepCell(flag=flag, scenario=scenario, team_size=6,
+                     policy=AcquirePolicy.HOLD_COLOR_RUN,
+                     style=FillStyle.SCRIBBLE)
+    return build_cell_plan(cell.key_dict()).runs[0]
+
+
+@pytest.mark.parametrize("flag,scenario", [("japan", 2), ("japan", 3),
+                                           ("canada", 2), ("jordan", 2)])
+def test_multi_owner_disjoint_colors_take_soa(flag, scenario):
+    """Contested cells alone no longer send a run to replay."""
+    run = _run_path(flag, scenario)
+    assert run.path == "soa"
+    assert run.last_w is not None
+
+
+@pytest.mark.parametrize("flag,scenario",
+                         [("canada", 3)]
+                         + [(flag, 4) for flag in sorted(available_flags())])
+def test_shared_implement_runs_stay_on_replay(flag, scenario):
+    """Runs whose workers share an implement still replay per trial."""
+    assert _run_path(flag, scenario).path == "replay"
+
+
+def test_last_writer_tie_goes_to_later_dispatch():
+    """Equal end times: the later-dispatched stroke paints last.
+
+    The heap breaks a time tie by sequence number, i.e. by dispatch
+    order.  Sampled durations never tie, so bit-parity cannot pin this.
+    """
+    end = np.array([[[5.0], [5.0]]])          # 1 trial, 2 workers, 1 stroke
+    last_w = np.array([[0, 1]])               # one cell, owned by both
+    last_k = np.array([[0, 0]])
+    last_ok = np.array([[False, True]])       # worker 1 paints the target
+    later_1 = np.array([[[0], [1]]], dtype=np.int32)
+    later_0 = np.array([[[1], [0]]], dtype=np.int32)
+    assert _last_writers_match(end, later_1, last_w, last_k,
+                               last_ok).tolist() == [True]
+    assert _last_writers_match(end, later_0, last_w, last_k,
+                               last_ok).tolist() == [False]
+    # Without a tie the later end time wins, whatever the dispatch order.
+    end = np.array([[[5.0], [4.0]]])
+    assert _last_writers_match(end, later_1, last_w, last_k,
+                               last_ok).tolist() == [False]
 
 
 def test_randomized_configuration_parity():
