@@ -3,9 +3,9 @@
 The static analyzer never *runs* anything, so everything it learns fits
 in a plain data structure: a list of typed :class:`Issue` findings plus
 the numeric bounds the analysis derived.  :class:`AnalysisReport`
-serializes to canonical JSON — sorted keys, compact separators, the
-same convention :mod:`repro.serve.protocol` uses — so reports are
-byte-comparable in tests and cacheable by content address.
+serializes to canonical JSON (:mod:`repro.canonical`, the encoding every
+path shares), so reports are byte-comparable in tests and cacheable by
+content address.
 
 Severity semantics match the pre-flight gates: ``ERROR`` findings make
 a configuration statically invalid (the sweep executor and the serve
@@ -16,9 +16,10 @@ advisory (the run proceeds, the report records the concern).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..canonical import canonical_bytes as canonical_dumps
 
 
 class AnalysisError(Exception):
@@ -76,18 +77,6 @@ def warning(code: str, message: str, subject: str = "") -> Issue:
     """Shorthand for a WARNING-severity :class:`Issue`."""
     return Issue(code=code, severity=Severity.WARNING, message=message,
                  subject=subject)
-
-
-def canonical_dumps(body: Dict[str, Any]) -> bytes:
-    """Canonical JSON bytes: sorted keys, compact separators.
-
-    The same encoding convention as ``repro.serve.protocol.dumps`` —
-    duplicated here rather than imported because ``repro.serve`` imports
-    this package for its admission gate, and the dependency must point
-    in one direction only.
-    """
-    return json.dumps(body, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 #: Version stamp carried by every serialized report; bump on breaking

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..agents.student import FillStyle
+# The response encoder, re-exported under the name callers import.
+from ..canonical import canonical_bytes as dumps
 from ..schedule.runner import AcquirePolicy
 from ..sim.backend import BACKEND_CHOICES
 from ..sweep.executor import cell_address, make_task
@@ -62,16 +64,6 @@ class ProtocolError(Exception):
         self.code = code
         self.message = message
         self.retry_after = retry_after
-
-
-def dumps(body: Dict[str, Any]) -> bytes:
-    """Canonical JSON encoding: sorted keys, compact separators.
-
-    Canonical bytes make responses comparable in determinism tests —
-    the same payload always serializes identically.
-    """
-    return json.dumps(body, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def parse_body(raw: bytes) -> Dict[str, Any]:

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..canonical import canonical_bytes
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from ..stream import (
     DEFAULT_QUEUE_FRAMES,
@@ -42,7 +43,6 @@ from .handlers import ServeHandlers, StreamHandle
 from .protocol import (
     DEFAULT_MAX_BODY_BYTES,
     ProtocolError,
-    dumps,
     error_body,
 )
 
@@ -361,7 +361,7 @@ def _response_bytes(status: int, payload: Any,
                     headers: Dict[str, str]) -> bytes:
     """Serialize one HTTP/1.1 response (JSON or Prometheus text)."""
     if isinstance(payload, (dict, list)):
-        body = dumps(payload)
+        body = canonical_bytes(payload)
         content_type = "application/json"
     else:
         body = str(payload).encode("utf-8")

@@ -44,11 +44,16 @@ def event_from_dict(d: dict) -> Event:
         raise ExportError(f"bad event record {d!r}: {exc}") from exc
 
 
+def event_line(event: Event) -> str:
+    """One archived line: trace files and stream feeds both carry it."""
+    return json.dumps(event_to_dict(event), sort_keys=True)
+
+
 def export_events(events: Iterable[Event],
                   fp: Union[TextIO, None] = None) -> str:
     """Serialize events as JSON lines; returns the text (and writes to
     ``fp`` when given)."""
-    lines = [json.dumps(event_to_dict(e), sort_keys=True) for e in events]
+    lines = [event_line(e) for e in events]
     text = "\n".join(lines) + ("\n" if lines else "")
     if fp is not None:
         fp.write(text)

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..canonical import canonical_json
 from .migrations import HEAD_VERSION, migrate as apply_migrations, \
     schema_version
 
@@ -108,15 +109,6 @@ class Quota:
     max_results: Optional[int]
     max_bytes: Optional[int]
     retry_after_s: float = 60.0
-
-
-def canonical_json(payload: Any) -> str:
-    """The store's one serialization: sorted keys, compact separators.
-
-    The same canonical form :mod:`repro.serve.protocol` responds with,
-    so a payload's stored bytes and served bytes agree.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def token_hash(token: str) -> str:

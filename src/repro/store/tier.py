@@ -19,6 +19,7 @@ vice versa on reads.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Any, Dict, Optional
 
@@ -67,7 +68,8 @@ class StoreTier:
         with self._stats_lock:
             self.store_hits += 1
         if self.cache is not None:
-            self.cache.put(digest, payload)
+            with contextlib.suppress(OSError):  # the store row is durable
+                self.cache.put(digest, payload)
         return payload
 
     def put(self, digest: str, payload: Dict[str, Any]) -> None:
@@ -83,4 +85,5 @@ class StoreTier:
         with self._stats_lock:
             self.store_puts += 1
         if self.cache is not None:
-            self.cache.put(digest, payload)
+            with contextlib.suppress(OSError):  # the store row is durable
+                self.cache.put(digest, payload)

@@ -28,6 +28,7 @@ arbitrary cursor — reassembles to *exactly* the archived event log of
 the same run.  Streaming is a tap, never a fork.
 """
 
+from ..sim.export import event_line
 from .bus import (
     DEFAULT_QUEUE_FRAMES,
     RunStream,
@@ -35,7 +36,7 @@ from .bus import (
     StreamHub,
     Subscription,
 )
-from .observer import StreamObserver, event_line, label_sequence_factory
+from .observer import StreamObserver, label_sequence_factory
 from .protocol import (
     FRAME_KINDS,
     STREAM_PROTOCOL_VERSION,

@@ -6,8 +6,8 @@ one envelope on a :class:`~repro.stream.bus.RunStream`:
 
 - ``on_run_start``  → a ``run_start`` control frame;
 - ``on_event``      → an ``event`` frame whose payload ``line`` is the
-  *exact* archived serialization of the event — one line of
-  :func:`repro.sim.export.export_events` — which is what makes the
+  *exact* archived serialization of the event —
+  :func:`repro.sim.export.event_line` — which is what makes the
   streamed feed byte-identical to the archive;
 - ``on_run_end``    → a ``run_end`` control frame carrying the
   makespan.
@@ -23,21 +23,15 @@ activities build a fresh instance per run via
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..obs.observer import Observer
 from ..sim.events import Event
-from ..sim.export import event_to_dict
+from ..sim.export import event_line
 from .bus import RunStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
-
-
-def event_line(event: Event) -> str:
-    """One event in its archived form (a ``repro.sim.export`` line)."""
-    return json.dumps(event_to_dict(event), sort_keys=True)
 
 
 class StreamObserver(Observer):

@@ -39,6 +39,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..canonical import canonical_json
+
 #: Version stamp on every envelope; bump on breaking schema changes.
 STREAM_PROTOCOL_VERSION = 1
 
@@ -104,8 +106,7 @@ class StreamEvent:
 
 def dumps_frame(event: StreamEvent) -> str:
     """Canonical JSON for one envelope (sorted keys, compact)."""
-    return json.dumps(event.to_wire(), sort_keys=True,
-                      separators=(",", ":"))
+    return canonical_json(event.to_wire())
 
 
 def loads_frame(text: str) -> StreamEvent:

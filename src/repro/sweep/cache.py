@@ -12,10 +12,12 @@ returning stale results.
 The cache is deliberately dumb: no locking beyond atomic rename, no
 index.  ``repro sweep --cache-dir PATH`` and the benchmark drivers
 point it at a scratch directory; deleting the directory is the only
-invalidation anyone needs.  Eviction is opt-in: a long-lived process
-(the :mod:`repro.serve` server) passes ``max_entries`` / ``max_bytes``
-and the cache prunes least-recently-used entries after every write,
-so the directory never grows without bound.
+invalidation anyone needs, even under a running process.  A file
+holds the payload's canonical bytes, exactly what a store row holds;
+older spaced ``json.dump`` files still read.  Eviction is opt-in: a
+long-lived process (the :mod:`repro.serve` server) passes
+``max_entries`` / ``max_bytes`` and the cache prunes least-recently-used
+entries after every write, so the directory never grows without bound.
 
 A generic :meth:`ResultCache.get_or_compute` is exposed for non-sweep
 workloads (the Tables I-III driver caches its synthesized survey
@@ -33,6 +35,7 @@ import tempfile
 from typing import Any, Callable, Dict, Optional, Union
 
 from .. import __version__
+from ..canonical import canonical_bytes
 
 #: Bump when the payload layout changes; stale schema -> clean miss.
 CACHE_SCHEMA = 1
@@ -52,11 +55,9 @@ def content_address(key_obj: Any) -> str:
     The library version and cache schema are folded in, so upgrading
     either retires every old entry without touching the files.
     """
-    material = json.dumps(
+    return hashlib.sha256(canonical_bytes(
         {"schema": CACHE_SCHEMA, "version": __version__, "key": key_obj},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    )).hexdigest()
 
 
 class ResultCache:
@@ -117,7 +118,7 @@ class ResultCache:
             # miss, never a corruption (there is no file to quarantine).
             self.misses += 1
             return None
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             self._quarantine(path)
             self.misses += 1
             return None
@@ -146,13 +147,17 @@ class ResultCache:
             pass
 
     def put(self, digest: str, payload: Dict[str, Any]) -> None:
-        """Store a payload atomically (write to temp file, rename)."""
-        path = self._path(digest)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        """Store a payload's canonical bytes atomically (temp file, rename),
+        recreating a root deleted under the running process."""
         try:
-            with os.fdopen(fd, "w") as fp:
-                json.dump(payload, fp, sort_keys=True)
-            os.replace(tmp, path)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except FileNotFoundError:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fp:
+                fp.write(canonical_bytes(payload))
+            os.replace(tmp, self._path(digest))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -14,11 +14,11 @@ which other cells the grid contains.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..agents.student import FillStyle
+from ..canonical import canonical_json
 from ..faults.plan import (
     FaultPlan,
     ImplementFailure,
@@ -140,8 +140,7 @@ class SweepCell:
 
     def key(self) -> str:
         """Canonical string identity: what seeding and caching hash."""
-        return json.dumps(self.key_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.key_dict())
 
     def describe(self) -> str:
         """Short human-readable label for tables and logs."""

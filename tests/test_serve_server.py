@@ -8,6 +8,7 @@ structured protocol error paths, metrics exposure, and graceful drain.
 
 import http.client
 import json
+import shutil
 import threading
 import time
 
@@ -293,3 +294,38 @@ class TestLifecycle:
             bg.client().healthz()
         assert registry.counter("serve_requests_total").value(
             endpoint="/healthz", status="200") == 1
+
+
+class TestCacheDirectory:
+    """The cache directory is expendable while a server runs, and every
+    entry format it has ever held serves the same bytes."""
+
+    BODY = {"protocol": PROTOCOL_VERSION, "flag": "mauritius",
+            "scenario": 3, "seed": 41}
+
+    def test_cold_run_after_cache_dir_deleted(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with BackgroundServer(ServeConfig(cache_dir=str(cache_dir))) as bg:
+            shutil.rmtree(cache_dir)
+            cold = bg.client().run(flag="mauritius", scenario=3, seed=42)
+            warm = bg.client().run(flag="mauritius", scenario=3, seed=42)
+        assert cold["cached"] is False
+        assert warm["cached"] is True
+        assert canon(cold["trial"]) == canon(warm["trial"])
+
+    def test_old_format_entry_serves_identical_bytes(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with BackgroundServer(ServeConfig(cache_dir=str(cache_dir))) as bg:
+            status, _, _ = bg.client().request("POST", "/run", self.BODY)
+            assert status == 200
+            [entry] = cache_dir.glob("*.json")
+            status, _, fresh = bg.client().request("POST", "/run",
+                                                   self.BODY)
+            payload = json.loads(entry.read_bytes())
+            with open(entry, "w") as fp:
+                json.dump(payload, fp, sort_keys=True)
+            assert b", " in entry.read_bytes()  # the old spaced form
+            status, _, old = bg.client().request("POST", "/run", self.BODY)
+        assert status == 200
+        assert json.loads(old)["cached"] is True
+        assert old == fresh

@@ -11,6 +11,7 @@ import shutil
 
 import pytest
 
+from repro.canonical import canonical_bytes
 from repro.store import (
     HEAD_VERSION,
     MIGRATIONS,
@@ -631,6 +632,50 @@ class TestStoreTier:
             assert cache.get("d") is None  # the cache was not written
 
 
+class TestTierCacheFailures:
+    """A missing or unwritable cache never blocks the store: the store
+    row is the durable copy, so the cache write is best-effort."""
+
+    class BrokenCache(ResultCache):
+        """A cache whose every write fails (a full or read-only disk)."""
+
+        def put(self, digest, payload):
+            raise OSError(28, "No space left on device")
+
+    def test_deleted_cache_root_on_store_hit(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            StoreTier(store).put("d", {"v": 1})
+            cache = ResultCache(tmp_path / "cache")
+            shutil.rmtree(cache.root)
+            tier = StoreTier(store, cache=cache)
+            assert tier.get("d") == {"v": 1}
+            assert tier.store_hits == 1
+            assert cache.get("d") == {"v": 1}  # the root came back
+
+    def test_deleted_cache_root_on_put(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            cache = ResultCache(tmp_path / "cache")
+            tier = StoreTier(store, cache=cache)
+            shutil.rmtree(cache.root)
+            tier.put("d", {"v": 1})
+            assert store.get_result("d") == {"v": 1}
+            assert cache.get("d") == {"v": 1}
+
+    def test_failing_cache_write_on_store_hit(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            StoreTier(store).put("d", {"v": 1})
+            tier = StoreTier(store, cache=self.BrokenCache(tmp_path / "c"))
+            assert tier.get("d") == {"v": 1}
+            assert tier.store_hits == 1
+
+    def test_failing_cache_write_on_put(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            tier = StoreTier(store, cache=self.BrokenCache(tmp_path / "c"))
+            tier.put("d", {"v": 1})
+            assert tier.store_puts == 1
+            assert store.get_result("d") == {"v": 1}
+
+
 class TestSweepInterop:
     def test_warm_store_recomputes_zero_trials(self, tmp_path):
         spec = small_spec()
@@ -699,6 +744,24 @@ class TestSweepInterop:
         assert from_store == from_cache
         assert json.dumps(from_store, sort_keys=True) \
             == json.dumps(from_cache, sort_keys=True)
+
+
+    def test_cache_files_hold_the_store_rows_bytes(self, tmp_path):
+        """Cache entries and store rows are the same canonical bytes."""
+        spec = small_spec(scenarios=(3, 4))
+        cache = ResultCache(tmp_path / "cache")
+        with ResultStore(tmp_path / "s.db") as store:
+            run_sweep(spec, cache=StoreTier(store, cache=cache))
+            rows = dict(store._conn.execute(
+                "SELECT digest, payload FROM results").fetchall())
+            stored = {d: store.get_result(d) for d in rows}
+        files = {p.stem: p.read_bytes()
+                 for p in sorted(cache.root.glob("*.json"))}
+        assert sorted(files) == sorted(rows)
+        assert len(files) == len(spec.cells())
+        for digest, raw in files.items():
+            assert raw == canonical_bytes(stored[digest])
+            assert raw == rows[digest].encode("utf-8")
 
 
 class TestFabricInterop:

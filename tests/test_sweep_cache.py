@@ -1,9 +1,12 @@
 """Tests for repro.sweep.cache — the content-addressed result store."""
 
+import json
 import os
+import shutil
 
 import pytest
 
+from repro.canonical import canonical_bytes
 from repro.sweep import CacheError, ResultCache, content_address
 
 
@@ -236,3 +239,53 @@ class TestGetOrCompute:
         a = cache.get_or_compute({"k": 1}, lambda: {"v": 1})
         b = cache.get_or_compute({"k": 2}, lambda: {"v": 2})
         assert a != b
+
+
+class TestDeletedRoot:
+    """Deleting the cache directory under a live process is allowed:
+    the next write recreates it instead of failing."""
+
+    def test_put_recreates_a_deleted_root(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        shutil.rmtree(cache.root)
+        digest = content_address({"x": "gone"})
+        assert cache.get(digest) is None  # a plain miss, not an error
+        cache.put(digest, {"v": 1})
+        assert cache.get(digest) == {"v": 1}
+        assert list(cache.root.glob("*.tmp")) == []
+
+    def test_nested_root_is_recreated_too(self, tmp_path):
+        cache = ResultCache(tmp_path / "a" / "b")
+        shutil.rmtree(tmp_path / "a")
+        cache.put(content_address({"x": 1}), {"v": 1})
+        assert len(cache) == 1
+
+
+class TestEntryFormat:
+    """Entries hold the canonical bytes; older spaced entries still read."""
+
+    PAYLOAD = {"trials": [{"makespan": 12.5, "note": "café"}],
+               "cell": {"flag": "mauritius", "rows": None}}
+
+    def test_entry_bytes_are_canonical(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        digest = content_address({"fmt": 1})
+        cache.put(digest, self.PAYLOAD)
+        assert (cache._path(digest).read_bytes()
+                == canonical_bytes(self.PAYLOAD))
+
+    def test_old_spaced_entry_is_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        digest = content_address({"fmt": 2})
+        with open(cache._path(digest), "w") as fp:
+            json.dump(self.PAYLOAD, fp, sort_keys=True)
+        assert cache.get(digest) == self.PAYLOAD
+        assert (cache.hits, cache.corruptions) == (1, 0)
+
+    def test_undecodable_entry_is_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        digest = content_address({"fmt": 3})
+        # Not UTF-8, and not JSON under any single-byte locale either.
+        cache._path(digest).write_bytes(b'\xff{"v": 1}')
+        assert cache.get(digest) is None
+        assert cache.corruptions == 1
