@@ -28,7 +28,7 @@ Gives instructors the library's main flows without writing Python:
 - ``fabric`` — the same grid on the fault-tolerant sweep fabric
   (``repro.fabric``): leased cells across local subprocess workers
   and/or remote ``repro serve`` endpoints, heartbeat health tracking,
-  retries, hedged stragglers, work stealing, and an optional scripted
+  retries, hedged stragglers, and an optional scripted
   chaos plan — results stay byte-identical to a clean serial sweep.
 - ``trace TARGET`` — run a scenario under the observer (or convert an
   exported event log) and write Chrome ``trace_event`` JSON for
@@ -546,8 +546,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         _print_grid_result(result)
         stats = coordinator.stats
         print(f"  leases {stats.leases} (retries {stats.retries}, "
-              f"hedges {stats.hedges}), steals {stats.steals} "
-              f"({stats.stolen_cells} cells), "
+              f"hedges {stats.hedges}), "
               f"duplicates {stats.duplicates}, "
               f"worker deaths {stats.worker_deaths}")
         return result

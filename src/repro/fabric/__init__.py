@@ -10,16 +10,15 @@ and silently dropped responses.
 
 The headline invariant: **a fabric sweep under any chaos plan is
 byte-identical to a clean serial** ``run_sweep``.  Trials are pure
-functions of their task dicts, so the coordinator can retry, hedge,
-and steal leases freely — recovery changes *scheduling*, never bytes.
+functions of their task dicts, so the coordinator can retry and hedge
+leases freely — recovery changes *scheduling*, never bytes.
 
-- :mod:`~repro.fabric.coordinator` — leases with per-trial heartbeats,
-  EOF-based death detection, full-jitter backoff retries, hedged
-  requests for stragglers, work stealing via
-  :func:`~repro.schedule.worksteal.steal_back_half`.
-- :mod:`~repro.fabric.worker` — the local worker process loop; one
-  private duplex pipe per worker, so a SIGKILL is one EOF, never a
-  wedged shared queue.
+- :mod:`~repro.fabric.coordinator` — one pending queue of cells,
+  leases with per-trial heartbeats, EOF-based death detection,
+  full-jitter backoff retries, hedged requests for stragglers.
+- :mod:`~repro.fabric.worker` — the lease loop every worker runs, and
+  the local worker process; one private duplex pipe per worker, so a
+  SIGKILL is one EOF, never a wedged shared queue.
 - :mod:`~repro.fabric.remote` — the same lease loop speaking
   ``POST /task`` to a ``repro serve`` endpoint.
 - :mod:`~repro.fabric.chaos` — deterministic self-chaos scripted on

@@ -85,7 +85,7 @@ class SlowStart:
 
     Models a cold container or a late classroom arrival: the fabric
     must start leasing to whoever *is* present and fold the straggler
-    in (via work stealing) when it finally appears.
+    in (it takes the head of the shared queue) when it finally appears.
     """
 
     worker: str

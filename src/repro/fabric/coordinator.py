@@ -1,4 +1,4 @@
-"""The fabric coordinator: leases, health, retries, hedges, stealing.
+"""The fabric coordinator: leases, health, retries, hedges.
 
 :func:`run_fabric_sweep` is the fault-tolerant sibling of
 :func:`repro.sweep.executor.run_sweep`: the same declarative
@@ -12,22 +12,24 @@ a pure function of its task dict) as long as every cell eventually gets
 computed and results are assembled in grid order.  Everything in this
 module exists to make "eventually" robust:
 
-- **Leases.**  The unit of work is one cell (all its trials).  A lease
-  names a worker, a cell, and an attempt; workers report per-trial
-  heartbeats so the coordinator can tell *slow* from *dead*.
+- **Leases.**  The unit of work is one cell (all its trials).  Unleased
+  cells wait in one FIFO, filled in grid order; an idle worker takes
+  the head.  One thread owns that queue, so sharing it costs nothing —
+  no per-worker backlogs to rebalance.  A lease names a worker, a
+  cell, and an attempt; workers report per-trial heartbeats so the
+  coordinator can tell *slow* from *dead*.
 - **Health.**  Each local worker owns a private duplex pipe — a
   SIGKILLed process is just EOF on one connection, never a poisoned
-  shared queue.  Death requeues the worker's unstarted cells and
-  re-leases its in-flight cell exactly once per failure.
+  shared queue.  Death re-leases the worker's in-flight cell exactly
+  once per failure.
 - **Retries.**  Failed leases (death, error, heartbeat silence) go to
   a backoff heap: full-jittered exponential delay, bounded attempts.
-- **Hedges.**  When a lease looks like a straggler and a worker sits
-  idle, the cell is speculatively re-leased; the first result wins and
-  late copies are counted and dropped — safe precisely because trials
-  are deterministic, so duplicates carry identical bytes.
-- **Stealing.**  Idle workers raid the largest backlog via the same
-  :func:`~repro.schedule.worksteal.steal_back_half` primitive the
-  in-simulation runner uses.
+  A due retry rejoins the queue at its head.
+- **Hedges.**  When a lease looks like a straggler, the queue is empty
+  and a worker sits idle, the cell is speculatively re-leased; the
+  first result wins and late copies are counted and dropped — safe
+  precisely because trials are deterministic, so duplicates carry
+  identical bytes.
 - **Self-chaos.**  A :class:`~repro.fabric.chaos.ChaosPlan` scripts
   crashes, stalls, slow starts, and dropped responses into the workers
   themselves, so the recovery machinery is exercised against real
@@ -53,7 +55,6 @@ import numpy as np
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..schedule.worksteal import steal_back_half
 from ..sim.backend import resolve_backend
 from ..sweep.cache import ResultCache
 from ..sweep.executor import (
@@ -76,6 +77,15 @@ from .worker import (
     MSG_SHUTDOWN,
     worker_main,
 )
+
+
+#: Coordinator poll interval for timer work (seconds).
+TICK_S = 0.02
+#: How long to wait for workers to exit cleanly before terminating them.
+SHUTDOWN_GRACE_S = 2.0
+#: Seed for the backoff jitter stream (house rule DET003: no unseeded
+#: RNGs), so chaos runs are reproducible.
+JITTER_SEED = 0
 
 
 class FabricError(Exception):
@@ -101,11 +111,6 @@ class FabricConfig:
         heartbeat_timeout_s: heartbeat silence after which an in-flight
             lease on a *live* worker is declared lost and retried
             elsewhere (dead workers are detected immediately via EOF).
-        jitter_seed: seed for the backoff jitter stream (house rule
-            DET003: no unseeded RNGs).
-        tick_s: coordinator poll interval for timer work.
-        shutdown_grace_s: how long to wait for workers to exit cleanly
-            before terminating them.
     """
 
     workers: int = 2
@@ -115,9 +120,6 @@ class FabricConfig:
     retry_cap_s: float = 1.0
     hedge_after_s: Optional[float] = 5.0
     heartbeat_timeout_s: float = 30.0
-    jitter_seed: int = 0
-    tick_s: float = 0.02
-    shutdown_grace_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -139,8 +141,6 @@ class FabricConfig:
             raise FabricError(
                 f"heartbeat_timeout_s must be > 0, "
                 f"got {self.heartbeat_timeout_s}")
-        if self.tick_s <= 0:
-            raise FabricError(f"tick_s must be > 0, got {self.tick_s}")
 
     @property
     def worker_names(self) -> List[str]:
@@ -161,8 +161,6 @@ class FabricStats:
     leases: int = 0
     retries: int = 0
     hedges: int = 0
-    steals: int = 0
-    stolen_cells: int = 0
     duplicates: int = 0
     worker_deaths: int = 0
     cached_cells: int = 0
@@ -175,7 +173,6 @@ class _Lease:
     lease_id: int
     worker: str
     cell_index: int
-    kind: str  # "primary" | "retry" | "hedge"
     issued: float
     last_beat: float
 
@@ -222,7 +219,7 @@ class FabricCoordinator:
         self.registry = registry or MetricsRegistry()
         self.stats = FabricStats()
 
-        self._rng = np.random.default_rng(self.config.jitter_seed)
+        self._rng = np.random.default_rng(JITTER_SEED)
         self._cells = spec.cells()
         # Per-cell engine, resolved once up front (auto falls back to
         # reference for fault plans / observers); a vector lease ships
@@ -232,7 +229,7 @@ class FabricCoordinator:
             for cell in self._cells
         ]
         self._workers: Dict[str, _Worker] = {}
-        self._queues: Dict[str, Deque[int]] = {}
+        self._pending: Deque[int] = deque()  # unleased cells, head first
         self._leases: Dict[int, _Lease] = {}
         self._retry_heap: List[Tuple[float, int, int]] = []
         self._retry_seq = 0
@@ -252,9 +249,6 @@ class FabricCoordinator:
         self._m_hedges = m.counter(
             "fabric_hedges_total",
             "Speculative duplicate leases issued against stragglers")
-        self._m_steals = m.counter(
-            "fabric_steals_total",
-            "Work-stealing rebalances (idle worker raided a backlog)")
         self._m_duplicates = m.counter(
             "fabric_duplicate_results_total",
             "Results for already-completed cells (hedges/stale leases)")
@@ -337,9 +331,9 @@ class FabricCoordinator:
 
         if pending:
             self._remaining = set(pending)
+            self._pending.extend(pending)
             try:
                 self._spawn_workers()
-                self._distribute(pending)
                 self._loop()
             finally:
                 self._shutdown()
@@ -373,7 +367,6 @@ class FabricCoordinator:
             theirs.close()  # child holds it; EOF detection needs this
             self._workers[name] = _Worker(name=name, conn=ours,
                                           process=process)
-            self._queues[name] = deque()
             self._m_state.set(1, worker=name)
         for i, (host, port) in enumerate(self.config.remotes):
             name = f"r{i}"
@@ -386,14 +379,7 @@ class FabricCoordinator:
             thread.start()
             self._workers[name] = _Worker(name=name, conn=ours,
                                           thread=thread)
-            self._queues[name] = deque()
             self._m_state.set(1, worker=name)
-
-    def _distribute(self, pending: List[int]) -> None:
-        """Round-robin the uncached cells across all worker queues."""
-        names = self.config.worker_names
-        for slot, cell_index in enumerate(pending):
-            self._queues[names[slot % len(names)]].append(cell_index)
 
     # -- the event loop ---------------------------------------------------
 
@@ -405,7 +391,7 @@ class FabricCoordinator:
                     f"all workers died with {len(self._remaining)} "
                     f"cell(s) unfinished")
             for conn in mp_connection.wait(list(conns),
-                                           timeout=self.config.tick_s):
+                                           timeout=TICK_S):
                 worker = conns[conn]
                 try:
                     message = conn.recv()
@@ -467,20 +453,8 @@ class FabricCoordinator:
         self._m_deaths.inc()
         self._m_state.set(0, worker=worker.name)
 
-        # Unstarted cells go back to the healthiest queues untouched
-        # (they were never leased, so attempts are unchanged) ...
-        orphaned = self._queues.pop(worker.name, deque())
-        while orphaned:
-            cell_index = orphaned.popleft()
-            target = self._shortest_queue()
-            if target is None:
-                raise FabricError(
-                    f"all workers died with {len(self._remaining)} "
-                    f"cell(s) unfinished")
-            self._queues[target].append(cell_index)
-
-        # ... while the in-flight cell, if any, is re-leased exactly
-        # once per death, through the backoff heap.
+        # The in-flight cell, if any, is re-leased exactly once per
+        # death, through the backoff heap.
         if worker.lease_id is not None:
             lease = self._leases.pop(worker.lease_id, None)
             worker.lease_id = None
@@ -551,26 +525,12 @@ class FabricCoordinator:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _shortest_queue(self) -> Optional[str]:
-        """The live worker whose queue is shortest (ties by name)."""
-        candidates = [(len(q), name) for name, q in self._queues.items()
-                      if self._workers[name].alive]
-        if not candidates:
-            return None
-        return min(candidates)[1]
-
     def _promote_due_retries(self) -> None:
         now = self._now()
         while self._retry_heap and self._retry_heap[0][0] <= now:
             _, _, cell_index = heapq.heappop(self._retry_heap)
-            if cell_index in self._done:
-                continue
-            target = self._shortest_queue()
-            if target is None:
-                raise FabricError(
-                    f"all workers died with {len(self._remaining)} "
-                    f"cell(s) unfinished")
-            self._queues[target].appendleft(cell_index)  # retries first
+            if cell_index not in self._done:
+                self._pending.appendleft(cell_index)  # retries first
 
     def _idle_workers(self) -> List[_Worker]:
         """Leasable workers, healthy ones first (suspects last)."""
@@ -579,30 +539,22 @@ class FabricCoordinator:
                 if w.alive and w.ready and w.lease_id is None]
 
     def _dispatch_idle_workers(self) -> None:
+        queue = self._pending
         for worker in self._idle_workers():
-            queue = self._queues[worker.name]
-            if not queue:
-                live = {name: q for name, q in self._queues.items()
-                        if self._workers[name].alive}
-                moved = steal_back_half(live, worker.name)
-                if moved is not None:
-                    _, stolen = moved
-                    self.stats.steals += 1
-                    self.stats.stolen_cells += len(stolen)
-                    self._m_steals.inc()
             while queue and queue[0] in self._done:
-                queue.popleft()  # hedged cell resolved while queued
-            if queue:
-                kind = ("retry" if self.stats.attempts.get(
-                    self._cells[queue[0]].key(), 0) else "primary")
-                self._issue(worker, queue.popleft(), kind=kind)
+                queue.popleft()  # a late result resolved it while queued
+            if not queue:
+                return
+            cell_index = queue.popleft()
+            kind = ("retry" if self.stats.attempts.get(
+                self._cells[cell_index].key(), 0) else "primary")
+            self._issue(worker, cell_index, kind=kind)
 
     def _hedge_stragglers(self) -> None:
-        if self.config.hedge_after_s is None:
+        if self.config.hedge_after_s is None or self._pending:
             return
         now = self._now()
-        idle = [w for w in self._idle_workers()
-                if not self._queues[w.name]]
+        idle = self._idle_workers()
         if not idle:
             return
         in_flight: Dict[int, int] = {}
@@ -648,7 +600,7 @@ class FabricCoordinator:
             return
         self._leases[lease_id] = _Lease(
             lease_id=lease_id, worker=worker.name, cell_index=cell_index,
-            kind=kind, issued=now, last_beat=now)
+            issued=now, last_beat=now)
         worker.lease_id = lease_id
         self._m_state.set(2, worker=worker.name)
         self.stats.leases += 1
@@ -665,7 +617,7 @@ class FabricCoordinator:
                     worker.conn.send((MSG_SHUTDOWN,))
                 except (BrokenPipeError, OSError):
                     pass
-        grace = self.config.shutdown_grace_s
+        grace = SHUTDOWN_GRACE_S
         for worker in self._workers.values():
             if worker.process is not None:
                 # Idle workers exit on the shutdown message.  One still

@@ -1,18 +1,19 @@
 """Remote fabric workers: the same lease loop, executed over HTTP.
 
-A remote worker is a daemon thread that speaks exactly the pipe
-protocol of :mod:`repro.fabric.worker` — hello, leases in, heartbeats
-and results out — but computes each trial by calling ``POST /task`` on
-a ``repro serve`` endpoint through a
+A remote worker is a daemon thread that runs the lease loop of
+:mod:`repro.fabric.worker` (:func:`~repro.fabric.worker.serve_leases`)
+— hello, leases in, heartbeats and results out — but computes each
+trial by calling ``POST /task`` on a ``repro serve`` endpoint through a
 :class:`~repro.serve.client.ServeClient`.  The coordinator cannot tell
 a remote worker from a local one (same messages, same connection
-object in its ``wait()`` set), so retries, hedging, and work stealing
-apply uniformly across a mixed local+remote fleet.
+object in its ``wait()`` set), so retries and hedging apply uniformly
+across a mixed local+remote fleet.
 
 Transient server trouble (429 backpressure, 503/504, connection drops)
 is absorbed by the client's :class:`~repro.serve.retry.RetryPolicy`
-*inside* the worker; only exhausted retries or non-retryable errors
-surface to the coordinator as lease errors for cross-worker retry.
+*inside* the worker; exhausted retries, non-retryable errors and
+malformed replies surface to the coordinator as lease errors for
+cross-worker retry, exactly as a local worker's exceptions do.
 
 Chaos applies here too: a scripted ``WorkerCrash`` closes the
 connection (the thread's equivalent of dying), stalls and dropped
@@ -21,23 +22,12 @@ responses behave exactly as on local workers.
 
 from __future__ import annotations
 
-import time
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
-from ..serve.client import ServeClient, ServeError
+from ..serve.client import ServeClient
 from ..serve.retry import RetryPolicy
 from .chaos import ChaosEvent
-from .worker import (
-    MSG_BEAT,
-    MSG_ERROR,
-    MSG_HELLO,
-    MSG_RESULT,
-    MSG_SHUTDOWN,
-    crashes_on,
-    drops_response,
-    stall_before,
-    startup_delay,
-)
+from .worker import serve_leases
 
 #: Default retry stance for remote execution: patient with transient
 #: server states, bounded so a dead endpoint surfaces as a lease error
@@ -62,48 +52,17 @@ def remote_worker_main(conn, worker: str, host: str, port: int,
     """
     client = ServeClient(host, port, timeout_s=timeout_s, retry=retry)
 
-    delay = startup_delay(chaos)
-    if delay:
-        time.sleep(delay)
-    conn.send((MSG_HELLO, worker))
-
-    ordinal = 0
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] == MSG_SHUTDOWN:
-            break
-        _, lease_id, cell_index, tasks = message
-        ordinal += 1
-
-        if crashes_on(chaos, ordinal):
-            conn.close()  # a thread's way of dying: drop the link
-            return
-        stall = stall_before(chaos, ordinal)
-        if stall:
-            time.sleep(stall)
-
-        payloads: List[dict] = []
-        failed = False
+    def compute(tasks: List[dict],
+                on_trial: Callable[[dict], None]) -> List[dict]:
+        payloads = []
         for task in tasks:
-            try:
-                reply = client.task(task["cell"], seed=task["seed"],
-                                    n_trials=task["n_trials"],
-                                    trial=task["trial"],
-                                    observe=task["observe"],
-                                    backend=task.get("backend"))
-                payloads.append(reply["trial"])
-            except (ServeError, OSError) as exc:
-                conn.send((MSG_ERROR, worker, lease_id, cell_index,
-                           f"{type(exc).__name__}: {exc}"))
-                failed = True
-                break
-            conn.send((MSG_BEAT, worker, lease_id, task["trial"]))
-        if failed:
-            continue
-        if drops_response(chaos, ordinal):
-            continue
-        conn.send((MSG_RESULT, worker, lease_id, cell_index, payloads))
-    conn.close()
+            reply = client.task(task["cell"], seed=task["seed"],
+                                n_trials=task["n_trials"],
+                                trial=task["trial"],
+                                observe=task["observe"],
+                                backend=task.get("backend"))
+            payloads.append(reply["trial"])
+            on_trial(task)
+        return payloads
+
+    serve_leases(conn, worker, chaos, compute, conn.close)

@@ -36,11 +36,11 @@ def steal_back_half(queues: Dict[str, Deque[T]],
     """Move the back half of the largest other queue into the thief's.
 
     The core work-stealing primitive, independent of the simulation: it
-    operates on any mapping of owner name to deque of work items, so
-    both the in-sim stealing runner below and the distributed sweep
-    fabric (:mod:`repro.fabric`) rebalance through the same code.  Ties
-    between equally-loaded victims break toward the lexicographically
-    largest name, deterministically.
+    operates on any mapping of owner name to deque of work items, and
+    the in-sim stealing runner below rebalances through it.  (The sweep
+    fabric needs no stealing: its one coordinator thread owns a single
+    shared queue.)  Ties between equally-loaded victims break toward the
+    lexicographically largest name, deterministically.
 
     Returns ``(victim, stolen_items)`` with the items already moved to
     the thief's deque (victim's intended order preserved), or ``None``

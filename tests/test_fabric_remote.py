@@ -3,8 +3,13 @@
 A live ``repro serve`` instance on a background thread backs remote
 workers; the coordinator must produce byte-identical results whether a
 cell was computed by a local subprocess or a remote endpoint — and
-must route around a remote worker that drops its link mid-sweep.
+must route around a remote worker that drops its link mid-sweep, and
+must retry only the cell, not write off the worker, when one reply
+goes bad.
 """
+
+import http.client
+import threading
 
 import pytest
 
@@ -15,7 +20,7 @@ from repro.fabric import (
     WorkerCrash,
     run_fabric_sweep,
 )
-from repro.serve import BackgroundServer, ServeConfig
+from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.sweep import SweepSpec, run_sweep
 
 SPEC = SweepSpec(flags=("poland",), scenarios=(3, 4), n_trials=2, seed=19)
@@ -76,4 +81,33 @@ class TestRemoteWorkers:
         result = coordinator.run()
         assert_identical(run_sweep(SPEC), result)
         assert coordinator.stats.worker_deaths == 1
+        assert coordinator.stats.retries == 1
+
+    def test_bad_reply_retries_the_cell_not_the_worker(self, server,
+                                                        monkeypatch):
+        # The client re-raises a truncated body once its own retries
+        # run out; the worker must report a lease error (one cell
+        # retried) rather than die and take the whole fleet with it.
+        real_task = ServeClient.task
+        lock = threading.Lock()
+        calls = []
+
+        def flaky_task(self, *args, **kwargs):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise http.client.IncompleteRead(b"")
+            return real_task(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServeClient, "task", flaky_task)
+        coordinator = FabricCoordinator(
+            SPEC,
+            FabricConfig(workers=0,
+                         remotes=(("127.0.0.1", server.port),),
+                         retry_base_s=0.01, retry_cap_s=0.05,
+                         hedge_after_s=None))
+        result = coordinator.run()
+        assert_identical(run_sweep(SPEC), result)
+        assert coordinator.stats.worker_deaths == 0
         assert coordinator.stats.retries == 1
