@@ -463,10 +463,18 @@ class FabricCoordinator:
                                      reason=f"worker {worker.name} died")
 
     def _reap_silent_processes(self) -> None:
-        """Catch local deaths the pipe has not surfaced as EOF yet."""
+        """Catch deaths the pipe has not surfaced as EOF yet.
+
+        A local worker is its process; a remote worker is the thread
+        that relays its socket.  That thread's pipe end lives in this
+        process, so its death never closes the pipe: it is seen here or
+        not at all.
+        """
         for worker in list(self._workers.values()):
-            if (worker.alive and worker.process is not None
-                    and not worker.process.is_alive()):
+            runner = (worker.process if worker.process is not None
+                      else worker.thread)
+            if (worker.alive and runner is not None
+                    and not runner.is_alive()):
                 # Drain any results it managed to send before dying.
                 try:
                     while worker.conn.poll():

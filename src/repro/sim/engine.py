@@ -11,9 +11,10 @@ Why build one instead of importing SimPy: the environment is offline, the
 whole kernel (interrupts, resource failure, watchdogs and deadlock
 diagnostics included) is this one module of under 800 lines, and owning
 it lets the trace layer log exactly the classroom-level events we need
-(strokes, implement handoffs) without adapter glue.  It is the only event
-loop in :mod:`repro.sim`: the vector backend's replay path runs on it
-too, with :meth:`Simulator.log` switched off.
+(strokes, implement handoffs) without adapter glue.  The vector backend's
+contention kernel (:mod:`repro.sim.vector.contend`) mirrors this kernel's
+heap order and resource rules for fault-free shared-implement runs; the
+parity suite pins the two together bit for bit.
 """
 
 from __future__ import annotations

@@ -5,11 +5,14 @@ per-trial metrics bit-identical to the reference event-loop engine —
 the contract and selection rules live in :mod:`repro.sim.backend`, the
 worked guide in ``docs/backends.md``.
 
-A run whose workers hold disjoint color sets, with no implement
-faults, is advanced for the whole batch as array arithmetic, including
+A run whose workers hold disjoint color sets is advanced for the whole
+batch as array arithmetic (:mod:`~repro.sim.vector.soa`), including
 layered runs where two workers paint the same cell (graded per trial
-by which stroke lands last).  Runs that share an implement are
-replayed trial by trial on the reference kernel.
+by which stroke lands last).  A run whose workers share an implement
+goes to the contention kernel (:mod:`~repro.sim.vector.contend`),
+which steps each trial's FIFO queues and handoffs on flat state, with
+stroke parameters and grading computed for the batch at once.  No
+vector run touches the reference :class:`~repro.sim.engine.Simulator`.
 
 Public surface:
 

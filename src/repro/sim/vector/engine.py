@@ -4,16 +4,15 @@ This is the engine behind ``--backend vector``: it compiles the cell
 once (:mod:`repro.sim.vector.plan`), derives every trial's RNG stream
 from the standard seeding policy (:mod:`repro.sweep.seeding`), builds
 the real per-trial teams, and then advances each scenario run.  A
-contention-free run (disjoint worker colors, no faults; cells may have
-several owners) takes the structure-of-arrays path, all trials at
-once; a run that shares an implement is replayed trial by trial on the
-reference
-:class:`~repro.sim.engine.Simulator` with its event log switched off
-(:mod:`repro.sim.vector.replay`).  Either way, each run consumes exactly
-the standard normals the reference engine would (one per stroke plus two
-timer draws, plus any handoff / wait draws on the replay path), so the
-stream stays aligned across a mixed soa/replay run sequence and every
-per-trial metric is identical to the reference engine's.
+contention-free run (disjoint worker colors; cells may have several
+owners) takes the structure-of-arrays path
+(:mod:`repro.sim.vector.soa`); a run that shares an implement takes
+the contention kernel (:mod:`repro.sim.vector.contend`, plan label
+``"replay"``).  Either way, each run consumes exactly the draws the
+reference engine would (one normal per stroke, a uniform per handoff,
+two timer normals), in the same order, so the stream stays aligned
+across a mixed run sequence and every per-trial metric is identical
+to the reference engine's.
 
 Payloads are metric-only — no ``"trace"`` key — which is why vector
 results live under distinct cache addresses (see
@@ -30,7 +29,7 @@ from ...agents.team import make_team
 from ...sweep.seeding import trial_seed_sequences
 from ..backend import BackendError, vector_unsupported_reason
 from .plan import build_cell_plan
-from .replay import run_replay_trial
+from .contend import run_contended_batch
 from .soa import run_soa_batch
 
 
@@ -85,11 +84,8 @@ def run_vector_cell(tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     for run in plan.runs:
         for team in teams:
             team.begin_scenario()
-        if run.path == "soa":
-            payloads = run_soa_batch(run, teams, rngs)
-        else:
-            payloads = [run_replay_trial(run, team, rng)
-                        for team, rng in zip(teams, rngs)]
+        batch = run_soa_batch if run.path == "soa" else run_contended_batch
+        payloads = batch(run, teams, rngs)
         for b, payload in enumerate(payloads):
             runs_by_trial[b][run.label] = payload
     return [{"trial": t, "runs": runs_by_trial[b]}

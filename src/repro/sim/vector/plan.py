@@ -8,17 +8,27 @@ take — is computed once here and shared by every trial of the batch.
 Two execution paths exist (see :mod:`repro.sim.vector`):
 
 - ``"soa"``: the run is *contention-free* — the active workers' color
-  sets are pairwise disjoint (no worker ever waits for or hands off an
-  implement) and no implement can fault mid-stroke.  Such a run is a
-  pure sequence of stroke-time draws and can be advanced for all trials
-  at once as structure-of-arrays numpy math.  Cells painted by one
-  worker fold into a fixed verdict here; a cell two workers paint (a
-  layered flag split across workers) is *contested*, and the plan keeps
-  each owner's last stroke on it so the batch can grade it per trial.
-- ``"replay"``: anything else (shared implements, implement faults).
-  The run must replay the event interleaving per trial, on the
-  reference kernel with its event log switched off
-  (:mod:`repro.sim.vector.replay`).
+  sets are pairwise disjoint, so no worker ever waits for or hands off
+  an implement.  Such a run is a pure sequence of stroke-time draws and
+  can be advanced for all trials at once as structure-of-arrays numpy
+  math (:mod:`repro.sim.vector.soa`).
+- ``"replay"``: the workers share an implement, so who waits, for how
+  long, and how many handoff draws the stream takes depend on the
+  sampled durations.  The contention kernel
+  (:mod:`repro.sim.vector.contend`) steps each trial's FIFO queues and
+  handoffs exactly as the reference kernel does.  The label predates
+  that kernel (these runs used to be replayed on the reference
+  ``Simulator``) and stays, because benchmarks key on it.
+
+Cells painted by one worker fold into a fixed verdict here; a cell two
+workers paint (a layered flag split across workers) is *contested*, and
+the plan keeps each owner's last stroke on it so either path can grade
+it per trial.
+
+Implement faults cannot reach the vector engine: a cell's kit is
+always :meth:`ImplementKit.uniform` thick markers, which never break,
+and :func:`~repro.sim.backend.vector_unsupported_reason` refuses fault
+plans.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from ...grid.palette import Color
 from ...schedule.runner import AcquirePolicy
 from ...schedule.scenario import core_scenarios
 from ...sweep.spec import ACTIVITY
+from ..backend import BackendError
 
 
 @dataclass(frozen=True)
@@ -50,21 +61,21 @@ class RunPlan:
         label: the payload label ("scenario1", "scenario1_repeat", ...).
         strategy: the decomposition name of the partition.
         style / policy: the cell's fill style and acquisition policy.
-        rows / cols: the compiled program's raster size.
         active_ops: per-worker ordered stroke tuples, non-empty workers
             only, in worker order — exactly what the reference runner
             hands each ``paint_worker``.
         sorted_colors: the program's colors sorted by code, the order
             the reference runner creates implement resources in.
-        target: the grading image (``FlagSpec.final_image``).
-        path: ``"soa"`` or ``"replay"``.
-        counts: (soa) per-worker stroke counts.
-        comp / speed / var: (soa) per-(worker, stroke) complexity,
-            implement speed factor, and implement variability, padded
-            to the widest worker (padding is never read).
-        correct: (soa) whether the uncontested cells reproduce the
+        path: ``"soa"`` or ``"replay"`` (shared implements).
+        counts: per-worker stroke counts.
+        comp / speed / var: per-(worker, stroke) complexity, implement
+            speed factor, and implement variability, padded to the
+            widest worker (padding is never read).
+        colors: per-(worker, stroke) implement index into
+            ``sorted_colors``, padded the same way.
+        correct: whether the uncontested cells reproduce the
             target; with no contested cell this is the run's verdict.
-        last_w / last_k / last_ok: (soa) one row per contested cell
+        last_w / last_k / last_ok: one row per contested cell
             whose target is not blank, one column per owning worker:
             the worker, the index of its last stroke on the cell, and
             whether that stroke's color is the target's.  Rows with
@@ -76,17 +87,15 @@ class RunPlan:
     strategy: str
     style: FillStyle
     policy: AcquirePolicy
-    rows: int
-    cols: int
     active_ops: Tuple[Tuple[PaintOp, ...], ...]
     sorted_colors: Tuple[Color, ...]
-    target: np.ndarray
     path: str
-    counts: Optional[np.ndarray] = None
-    comp: Optional[np.ndarray] = None
-    speed: Optional[np.ndarray] = None
-    var: Optional[np.ndarray] = None
-    correct: Optional[bool] = None
+    counts: np.ndarray
+    comp: np.ndarray
+    speed: np.ndarray
+    var: np.ndarray
+    colors: np.ndarray
+    correct: bool
     last_w: Optional[np.ndarray] = None
     last_k: Optional[np.ndarray] = None
     last_ok: Optional[np.ndarray] = None
@@ -111,22 +120,25 @@ def _soa_eligible(active_ops: Tuple[Tuple[PaintOp, ...], ...],
                   kit: ImplementKit) -> bool:
     """Whether a run is contention-free enough for the batched path.
 
-    Two conditions, each guarding one way per-trial state could leak
-    into the event interleaving:
+    A run qualifies when its workers' color sets are pairwise disjoint:
+    no queueing, no handoffs — an implement only ever returns to the
+    hand that held it.  Cells with several owners are allowed: which
+    stroke lands last on them varies per trial, but painting never
+    feeds back into timing, so the batch grades them after the fact
+    (see :func:`_grading`).
 
-    - no implement faults (a fault draw would shift the RNG stream and
-      insert repair timeouts);
-    - pairwise-disjoint worker color sets (no queueing, no handoffs —
-      an implement only ever returns to the hand that held it).
-
-    Cells with several owners are allowed: which stroke lands last on
-    them varies per trial, but painting never feeds back into timing,
-    so the batch grades them after the fact (see :func:`_grading`).
+    Raises:
+        BackendError: if an implement can fault mid-stroke.  A fault
+            draw would shift the RNG stream and insert repair timeouts,
+            which neither path models; the cell kit never breaks, so
+            this guards against a kit change rather than a cell.
     """
     for ops in active_ops:
         for op in ops:
             if kit.implement_for(op.color).break_prob > 0:
-                return False
+                raise BackendError(
+                    f"vector engine cannot model {op.color.name} "
+                    f"implement faults")
     seen: set = set()
     for ops in active_ops:
         colors = {op.color for op in ops}
@@ -182,29 +194,28 @@ def _plan_run(program: PaintProgram, partition: Partition, label: str,
     """Build one RunPlan from a compiled program and its partition."""
     active_ops = tuple(tuple(ops) for ops in partition.assignments if ops)
     sorted_colors = tuple(sorted({op.color for op in program.ops}, key=int))
-    if not _soa_eligible(active_ops, kit):
-        return RunPlan(label=label, strategy=partition.strategy, style=style,
-                       policy=policy, rows=program.rows, cols=program.cols,
-                       active_ops=active_ops, sorted_colors=sorted_colors,
-                       target=target, path="replay")
+    path = "soa" if _soa_eligible(active_ops, kit) else "replay"
+    index = {color: r for r, color in enumerate(sorted_colors)}
     counts = np.array([len(ops) for ops in active_ops], dtype=np.int64)
     width = int(counts.max())
     comp = np.ones((len(active_ops), width), dtype=np.float64)
     speed = np.ones((len(active_ops), width), dtype=np.float64)
     var = np.zeros((len(active_ops), width), dtype=np.float64)
+    colors = np.zeros((len(active_ops), width), dtype=np.int64)
     for w, ops in enumerate(active_ops):
         for k, op in enumerate(ops):
             implement: ImplementModel = kit.implement_for(op.color)
             comp[w, k] = op.complexity
             speed[w, k] = implement.speed_factor
             var[w, k] = implement.variability
+            colors[w, k] = index[op.color]
     correct, last_w, last_k, last_ok = _grading(active_ops, target)
     return RunPlan(label=label, strategy=partition.strategy, style=style,
-                   policy=policy, rows=program.rows, cols=program.cols,
-                   active_ops=active_ops, sorted_colors=sorted_colors,
-                   target=target, path="soa", counts=counts, comp=comp,
-                   speed=speed, var=var, correct=correct, last_w=last_w,
-                   last_k=last_k, last_ok=last_ok)
+                   policy=policy, active_ops=active_ops,
+                   sorted_colors=sorted_colors, path=path, counts=counts,
+                   comp=comp, speed=speed, var=var, colors=colors,
+                   correct=correct, last_w=last_w, last_k=last_k,
+                   last_ok=last_ok)
 
 
 def build_cell_plan(cell: Mapping[str, Any]) -> CellPlan:

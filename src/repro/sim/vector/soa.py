@@ -12,6 +12,9 @@ Painting never feeds back into timing, so a cell two workers paint
 (a layered flag split across workers) changes nothing above: the batch
 keeps each stroke's end time and dispatch index, and afterwards grades
 each such cell by the stroke that lands last (:func:`_last_writers_match`).
+The per-stroke parameters (:func:`stroke_params`) and that grading are
+shared with the contention kernel (:mod:`repro.sim.vector.contend`),
+whose dispatch order is not fixed in advance but whose strokes are.
 
 Bit-identity with the reference engine is load-bearing (it is pinned by
 a tier-1 property test across the full catalog), so every floating-point
@@ -24,7 +27,9 @@ expression here mirrors the scalar model's operation order exactly:
   same stream — but numpy's SIMD ``np.exp`` is *not* bit-identical to
   the libm ``math.exp`` the scalar path uses, so every exponential here
   goes through :func:`_libm_exp` (elementwise libm);
-- elementwise float64 ``+ - * /``, ``np.hypot``, and ``np.cumsum``
+- likewise ``np.hypot`` is not bit-identical to Python's own
+  ``math.hypot``, so sigmas go through :func:`_math_hypot`;
+- elementwise float64 ``+ - * /`` and ``np.cumsum``
   (a sequential left fold, unlike pairwise ``np.sum``) match their
   scalar counterparts bit for bit, provided the association order of
   each expression is preserved.
@@ -33,7 +38,7 @@ expression here mirrors the scalar model's operation order exactly:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +55,20 @@ def _libm_exp(a: np.ndarray) -> np.ndarray:
     for scalar libm calls instead.
     """
     out = np.fromiter(map(math.exp, a.ravel().tolist()), np.float64, a.size)
+    return out.reshape(a.shape)
+
+
+def _math_hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``, bit-identical to the scalar path.
+
+    Python's ``math.hypot`` uses its own algorithm, not libm's, and
+    ``np.hypot`` (libm) differs from it in the last ulp for about one
+    input in 150.  A one-ulp sigma shifts every stroke that student
+    draws, so the batch pays for scalar calls here too.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    out = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
+                      np.float64, a.size)
     return out.reshape(a.shape)
 
 
@@ -80,25 +99,22 @@ def _last_writers_match(end: np.ndarray, dispatch: np.ndarray,
     return last_ok[np.arange(last_ok.shape[0]), j].all(axis=1)
 
 
-def run_soa_batch(run: RunPlan, teams: Sequence[Team],
-                  rngs: Sequence[np.random.Generator]) -> List[Dict[str, object]]:
-    """Execute one contention-free run for every trial simultaneously.
+def stroke_params(run: RunPlan, teams: Sequence[Team]
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stroke's lognormal parameters, for a whole batch at once.
 
-    Args:
-        run: a plan with ``path == "soa"``.
-        teams: one team per trial, already ``begin_scenario()``-reset.
-        rngs: the matching per-trial generators, positioned exactly
-            where the reference engine's stream would be at run start.
+    A worker's k-th stroke of a run is drawn at experience
+    ``lifetime0 + k`` and fatigue ``k`` whatever the dispatch order, so
+    these are fixed before the first draw.
 
     Returns:
-        One metric payload dict per trial, in trial order.  Each team's
-        students have their experience counters advanced exactly as a
-        reference run would leave them.
+        ``(M, sig, loc)``, each ``(trials, workers, strokes)``: the
+        mean stroke time, the noise sigma and the noise location, so a
+        stroke with standard normal ``z`` lasts
+        ``M * exp(loc + sig * z)`` exactly as ``stroke_time`` samples it.
     """
     B = len(teams)
     W = run.n_active
-    counts = run.counts
-    N = int(counts.sum())
 
     # Per-(trial, worker) student statics, gathered once.
     base = np.empty((B, W))
@@ -132,9 +148,45 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
     M = M * run.comp[None, :, :]
 
     # Lognormal noise parameters: sigma = hypot(student, implement),
-    # location = -0.5 * sigma * sigma (scalar association order).
-    sig = np.hypot(sigp[:, :, None], run.var[None, :, :])
+    # location = -0.5 * sigma * sigma (scalar association order).  The
+    # hypot runs once per (trial, worker, distinct implement variability).
+    var, which = np.unique(run.var, return_inverse=True)
+    per_var = _math_hypot(sigp[:, :, None], var[None, None, :])
+    which = np.broadcast_to(which.reshape((1,) + run.var.shape), M.shape)
+    sig = np.take_along_axis(per_var, which, axis=2)
     loc = (-0.5 * sig) * sig
+    return M, sig, loc
+
+
+def advance_experience(run: RunPlan, teams: Sequence[Team]) -> None:
+    """Advance every colorer's experience the way ``stroke_time`` does."""
+    counts = run.counts.tolist()
+    for team in teams:
+        for c, student in zip(counts, team.colorers(run.n_active)):
+            student.lifetime_cells += c
+            student.scenario_cells += c
+
+
+def run_soa_batch(run: RunPlan, teams: Sequence[Team],
+                  rngs: Sequence[np.random.Generator]) -> List[Dict[str, object]]:
+    """Execute one contention-free run for every trial simultaneously.
+
+    Args:
+        run: a plan with ``path == "soa"``.
+        teams: one team per trial, already ``begin_scenario()``-reset.
+        rngs: the matching per-trial generators, positioned exactly
+            where the reference engine's stream would be at run start.
+
+    Returns:
+        One metric payload dict per trial, in trial order.  Each team's
+        students have their experience counters advanced exactly as a
+        reference run would leave them.
+    """
+    B = len(teams)
+    W = run.n_active
+    counts = run.counts
+    N = int(counts.sum())
+    M, sig, loc = stroke_params(run, teams)
 
     # One batched draw per trial: N stroke normals + 2 timer normals,
     # identical values and stream state to N+2 scalar draws.
@@ -188,12 +240,7 @@ def run_soa_batch(run: RunPlan, teams: Sequence[Team],
     jitter = (0.0 + rs * Z[:, N]) - (0.0 + rs * Z[:, N + 1])
     measured = np.maximum(0.0, makespan + jitter)
 
-    # Advance experience state the way stroke_time would have.
-    for team in teams:
-        for w, student in enumerate(team.colorers(W)):
-            c = int(counts[w])
-            student.lifetime_cells += c
-            student.scenario_cells += c
+    advance_experience(run, teams)
 
     return [
         {

@@ -7,7 +7,9 @@ promotion, hedging, heartbeat expiry, death) are called one at a time
 with the messages a worker would have sent.
 """
 
-from repro.fabric import FabricConfig, FabricCoordinator
+import pytest
+
+from repro.fabric import FabricConfig, FabricCoordinator, FabricError
 from repro.fabric.coordinator import _Worker
 from repro.fabric.worker import MSG_ERROR, MSG_HELLO, MSG_LEASE, MSG_RESULT
 from repro.obs import MetricsRegistry
@@ -30,8 +32,21 @@ class StubConn:
     def recv(self):
         raise EOFError
 
+    def poll(self):
+        return False
+
     def close(self):
         pass
+
+
+class StubThread:
+    """A remote worker's relay thread whose death the test decides."""
+
+    def __init__(self):
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
 
 
 class Fleet:
@@ -153,3 +168,36 @@ class TestDispatchOrder:
         assert fleet.pending() == [3, 4, 5, 6, 7]
         assert fleet.coordinator.stats.retries == 1
         assert fleet.coordinator.stats.attempts[SPEC.cells()[1].key()] == 2
+
+
+class TestDeadRemoteThreads:
+    """A remote worker whose relay thread died is a dead worker."""
+
+    def test_lease_of_a_dead_thread_is_re_leased_once(self):
+        fleet = Fleet(["w0", "r0"], hedge_after_s=None)
+        thread = fleet.worker("r0").thread = StubThread()
+        fleet.step()
+        assert fleet.leased("r0") == [0]
+        thread.alive = False
+        fleet.coordinator._reap_silent_processes()
+        fleet.coordinator._reap_silent_processes()
+        assert not fleet.worker("r0").alive
+        assert fleet.coordinator.stats.worker_deaths == 1
+        assert fleet.pending() == [2, 3, 4, 5, 6, 7]
+        # Back through the backoff heap, at the head of the queue.
+        fleet.step(seconds=10.0)
+        assert fleet.pending() == [0, 2, 3, 4, 5, 6, 7]
+        fleet.reply("w0", MSG_RESULT, [])
+        fleet.step()
+        assert fleet.leased("w0") == [1, 0]
+        assert fleet.leased("r0") == [0]
+        assert fleet.coordinator.stats.retries == 1
+
+    def test_remote_only_fleet_dead_before_hello_raises(self):
+        fleet = Fleet(["r0"], ready=[], hedge_after_s=None)
+        fleet.worker("r0").thread = StubThread()
+        fleet.worker("r0").thread.alive = False
+        fleet.coordinator._reap_silent_processes()
+        assert not fleet.worker("r0").alive
+        with pytest.raises(FabricError, match="all workers died"):
+            fleet.coordinator._loop()

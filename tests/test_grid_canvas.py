@@ -117,25 +117,6 @@ class TestQueries:
         with pytest.raises(CanvasError):
             c.matches(np.zeros((3, 3), dtype=np.int8))
 
-    @pytest.mark.parametrize("ignore_blank", [True, False])
-    def test_vector_stub_canvas_grades_like_canvas(self, ignore_blank):
-        """The vector replay's stand-in canvas applies the same grading
-        rule, wrong-shape error included."""
-        from repro.sim.vector.replay import _StubCanvas
-
-        real, stub = Canvas(2, 2), _StubCanvas(2, 2)
-        for canvas in (real, stub):
-            canvas.paint((0, 0), Color.RED)
-            canvas.paint((1, 1), Color.BLUE)
-        target = np.array([[1, 0], [0, 0]], dtype=np.int8)
-        assert (stub.matches(target, ignore_blank_target=ignore_blank)
-                == real.matches(target, ignore_blank_target=ignore_blank)
-                == ignore_blank)
-        for canvas in (real, stub):
-            with pytest.raises(CanvasError, match="target shape"):
-                canvas.matches(np.zeros((3, 3), dtype=np.int8),
-                               ignore_blank_target=ignore_blank)
-
     def test_diff_lists_mismatches(self):
         c = Canvas(2, 2)
         c.paint((0, 0), Color.RED)

@@ -25,7 +25,8 @@ from repro.sim.events import EventKind
 
 class UnloggedSimulator(Simulator):
     """A kernel whose ``log`` appends no event and draws no sequence
-    number — the way the vector replay path runs the kernel."""
+    number — the rule the vector backend's contention kernel relies on
+    when it takes seqs only for heap pushes and queue appends."""
 
     def log(self, kind, agent=None, **data):
         return None
