@@ -12,10 +12,16 @@ passes are available:
   III-D describes.
 - **blank elision** (``skip_optional_blank=True``): drop layers marked
   ``optional_on_blank`` (white on white paper), the Section V-C allowance.
+
+A program is a pure function of its arguments and immutable (frozen
+dataclasses, tuple ops), so :func:`compile_flag` memoizes it (at most
+:data:`COMPILE_MEMO_SIZE` programs, least recently used first out, per
+process): every trial of a cell shares one program.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -23,6 +29,11 @@ import numpy as np
 from ..grid.canvas import Canvas
 from ..grid.regions import iter_cells_rowmajor
 from .spec import FlagSpec, PaintOp, PaintProgram
+
+#: Compiled programs kept in memory by :func:`compile_flag`.  A catalog
+#: flag at its default raster is tens of KiB; the bound caps what odd
+#: raster overrides can pin.
+COMPILE_MEMO_SIZE = 64
 
 
 def compile_flag(
@@ -44,9 +55,23 @@ def compile_flag(
     Returns:
         A :class:`PaintProgram` whose ops, replayed in order on a blank
         canvas (with overpaint allowed), reproduce ``spec.final_image()``.
+        Equal arguments return the same (immutable) program object; a
+        spec that cannot be hashed (a list where a tuple is annotated)
+        compiles afresh on every call.
     """
     rows = rows or spec.default_rows
     cols = cols or spec.default_cols
+    try:
+        hash(spec)
+    except TypeError:
+        return _compile(spec, rows, cols, skip_occluded, skip_optional_blank)
+    return _compile_memo(spec, rows, cols, skip_occluded,
+                         skip_optional_blank)
+
+
+def _compile(spec: FlagSpec, rows: int, cols: int, skip_occluded: bool,
+             skip_optional_blank: bool) -> PaintProgram:
+    """The lowering itself, on a resolved raster size."""
     ops: List[PaintOp] = []
     layer_order: List[str] = []
     for layer in spec.layers:
@@ -66,6 +91,9 @@ def compile_flag(
                                complexity=complexity))
     return PaintProgram(flag=spec.name, rows=rows, cols=cols,
                         ops=tuple(ops), layer_order=tuple(layer_order))
+
+
+_compile_memo = functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)(_compile)
 
 
 def execute(program: PaintProgram, canvas: Canvas | None = None) -> Canvas:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, List, TextIO, Union
 
 from .events import Event, EventKind
@@ -44,8 +46,39 @@ def event_from_dict(d: dict) -> Event:
         raise ExportError(f"bad event record {d!r}: {exc}") from exc
 
 
+#: Stroke kinds the template writes, with their wire names.
+_STROKE_KINDS = {EventKind.STROKE_START: EventKind.STROKE_START.value,
+                 EventKind.STROKE_END: EventKind.STROKE_END.value}
+
+#: The exact ``data`` key set of a stroke event (``runner.paint_stroke``).
+_STROKE_KEYS = frozenset(("cell", "color", "layer"))
+
+
 def event_line(event: Event) -> str:
-    """One archived line: trace files and stream feeds both carry it."""
+    """One archived line: trace files and stream feeds both carry it.
+
+    The bytes are ``json.dumps(event_to_dict(event), sort_keys=True)``.
+    Stroke events (94 % of a typical trace) of the exact shape the
+    runner logs skip the generic encoder: one template writes their
+    keys in sorted order, strings through ``json``'s own ASCII escaper
+    and the time through ``float.__repr__``, as ``json.dumps`` does.
+    Any other kind, key set or field type takes the generic call.
+    """
+    kind = _STROKE_KINDS.get(event.kind)
+    data = event.data
+    if (kind is not None and type(data) is dict
+            and data.keys() == _STROKE_KEYS):
+        agent, seq, time = event.agent, event.seq, event.time
+        cell, color, layer = data["cell"], data["color"], data["layer"]
+        if (type(agent) is str and type(seq) is int
+                and type(time) is float and math.isfinite(time)
+                and type(cell) is tuple and len(cell) == 2
+                and type(cell[0]) is int and type(cell[1]) is int
+                and type(color) is str and type(layer) is str):
+            return (f'{{"agent": {_quote(agent)}, "data": {{"cell": '
+                    f'[{cell[0]!r}, {cell[1]!r}], "color": {_quote(color)}, '
+                    f'"layer": {_quote(layer)}}}, "kind": "{kind}", '
+                    f'"seq": {seq!r}, "time": {float.__repr__(time)}}}')
     return json.dumps(event_to_dict(event), sort_keys=True)
 
 

@@ -25,6 +25,13 @@ workers paint (a layered flag split across workers) is *contested*, and
 the plan keeps each owner's last stroke on it so either path can grade
 it per trial.
 
+A plan depends only on the cell's key dict, so :func:`build_cell_plan`
+memoizes it per canonical key (at most :data:`PLAN_MEMO_SIZE` plans,
+least recently used first out, per process): a served vector ``/run``
+or a fabric ``/task`` is a batch of one trial and would otherwise
+rebuild it per trial.  Shared plans are immutable: their numpy arrays
+are read-only, so a kernel that writes into one raises.
+
 Implement faults cannot reach the vector engine: a cell's kit is
 always :meth:`ImplementKit.uniform` thick markers, which never break,
 and :func:`~repro.sim.backend.vector_unsupported_reason` refuses fault
@@ -33,7 +40,10 @@ plans.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -41,6 +51,7 @@ import numpy as np
 from ...agents.implements import ImplementModel
 from ...agents.student import FillStyle
 from ...agents.team import ImplementKit
+from ...canonical import canonical_json
 from ...flags import get_flag
 from ...flags.compiler import compile_flag
 from ...flags.decompose import Partition
@@ -188,6 +199,13 @@ def _grading(active_ops: Tuple[Tuple[PaintOp, ...], ...],
     return correct, table[..., 0], table[..., 1], table[..., 2] == 1
 
 
+def _read_only(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``array`` with writes refused, so a shared plan cannot change."""
+    if array is not None:
+        array.setflags(write=False)
+    return array
+
+
 def _plan_run(program: PaintProgram, partition: Partition, label: str,
               style: FillStyle, policy: AcquirePolicy, kit: ImplementKit,
               target: np.ndarray) -> RunPlan:
@@ -212,10 +230,16 @@ def _plan_run(program: PaintProgram, partition: Partition, label: str,
     correct, last_w, last_k, last_ok = _grading(active_ops, target)
     return RunPlan(label=label, strategy=partition.strategy, style=style,
                    policy=policy, active_ops=active_ops,
-                   sorted_colors=sorted_colors, path=path, counts=counts,
-                   comp=comp, speed=speed, var=var, colors=colors,
-                   correct=correct, last_w=last_w, last_k=last_k,
-                   last_ok=last_ok)
+                   sorted_colors=sorted_colors, path=path,
+                   counts=_read_only(counts), comp=_read_only(comp),
+                   speed=_read_only(speed), var=_read_only(var),
+                   colors=_read_only(colors), correct=correct,
+                   last_w=_read_only(last_w), last_k=_read_only(last_k),
+                   last_ok=_read_only(last_ok))
+
+
+#: Cell plans kept in memory by :func:`build_cell_plan`.
+PLAN_MEMO_SIZE = 128
 
 
 def build_cell_plan(cell: Mapping[str, Any]) -> CellPlan:
@@ -225,7 +249,16 @@ def build_cell_plan(cell: Mapping[str, Any]) -> CellPlan:
     scenario 1, its repeat, then scenarios 2-4, all at the flag's
     default raster size (``run_core_activity`` never overrides it);
     single-scenario cells honor the cell's rows/cols override.
+    Equal cells return the same read-only plan (see the module
+    docstring).
     """
+    return _plan_for_key(canonical_json(cell))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _plan_for_key(key: str) -> CellPlan:
+    """Build the plan of the cell whose canonical key dict is ``key``."""
+    cell = json.loads(key)
     spec = get_flag(cell["flag"])
     style = FillStyle[cell["style"]]
     policy = AcquirePolicy[cell["policy"]]
@@ -249,4 +282,5 @@ def build_cell_plan(cell: Mapping[str, Any]) -> CellPlan:
         partition = scenario.partition(program)
         runs.append(_plan_run(program, partition, label, style, policy,
                               kit, target))
-    return CellPlan(cell=dict(cell), spec=spec, kit=kit, runs=tuple(runs))
+    return CellPlan(cell=MappingProxyType(cell), spec=spec, kit=kit,
+                    runs=tuple(runs))

@@ -25,6 +25,7 @@ The lesson catalog is a plain name → description mapping
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -139,7 +140,10 @@ def _collect_local(cell: SweepCell, seed: int
     """Run the trial in-process; returns (frames, dropped count)."""
     task = make_task(cell, seed=seed, n_trials=1, trial=0)
     stream = RunStream(f"tutor-{cell.flag}-{seed}")
-    sub = stream.subscribe()
+    # The tutor keeps every frame anyway, so its queue may hold the
+    # whole feed: a burst the consumer thread sleeps through (the trial
+    # thread holds the interpreter lock) must not cost frames.
+    sub = stream.subscribe(max_queue=sys.maxsize)
 
     def work() -> None:
         try:

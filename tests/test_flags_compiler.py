@@ -1,9 +1,17 @@
 """Tests for repro.flags.compiler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.flags.catalog import france, great_britain, jordan, mauritius
+from repro.flags.catalog import (
+    canada,
+    france,
+    great_britain,
+    jordan,
+    mauritius,
+)
 from repro.flags.compiler import (
     care_mask,
     compile_flag,
@@ -13,6 +21,7 @@ from repro.flags.compiler import (
     verify_program,
 )
 from repro.grid.canvas import Canvas, CanvasError
+from repro.flags.spec import PaintOp
 from repro.grid.palette import Color
 
 
@@ -116,3 +125,42 @@ class TestStats:
         assert stats["ops_per_layer"]["red_stripe"] == 24
         assert stats["ops_per_color"]["red"] == 24
         assert sum(stats["ops_per_layer"].values()) == 96
+
+
+class TestCompileMemo:
+    def test_equal_arguments_share_one_program(self):
+        # Catalog factories build a fresh (equal) spec on every call.
+        prog = compile_flag(canada(), 12, 24, skip_occluded=True)
+        assert compile_flag(canada(), 12, 24, skip_occluded=True) is prog
+        assert compile_flag(mauritius()) is compile_flag(mauritius(), 8, 12)
+
+    @pytest.mark.parametrize("kw", [
+        {"rows": 16, "cols": 24},
+        {"rows": 8, "cols": 13},
+        {"skip_occluded": True},
+        {"skip_optional_blank": True},
+    ])
+    def test_other_raster_or_flag_is_another_program(self, kw):
+        base = compile_flag(jordan())
+        other = compile_flag(jordan(), **kw)
+        assert other is not base
+        listed = dataclasses.replace(jordan(), layers=list(jordan().layers))
+        assert other.ops == compile_flag(listed, **kw).ops
+
+    def test_unhashable_spec_compiles_uncached(self):
+        spec = jordan()
+        listed = dataclasses.replace(spec, layers=list(spec.layers))
+        with pytest.raises(TypeError):
+            hash(listed)
+        first = compile_flag(listed)
+        assert compile_flag(listed) is not first
+        assert first == compile_flag(spec)
+
+    def test_shared_program_is_immutable(self):
+        prog = compile_flag(great_britain())
+        assert type(prog.ops) is tuple
+        assert all(type(op) is PaintOp for op in prog.ops)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.ops[0].color = Color.GREEN
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.ops = ()
