@@ -19,7 +19,7 @@ The library models the entire activity end-to-end:
   trial fan-out with SeedSequence-derived streams and a
   content-addressed on-disk result cache.
 - :mod:`repro.serve` — the async simulation service: an HTTP/JSON
-  server with micro-batching, admission control (429 backpressure),
+  server with one compute executor, admission control (429 backpressure),
   cache-backed responses, and graceful drain.
 - :mod:`repro.fabric` — fault-tolerant distributed sweeps: cell leases
   over local subprocess workers and remote serve endpoints, heartbeat

@@ -34,7 +34,7 @@ Gives instructors the library's main flows without writing Python:
   exported event log) and write Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto, plus optional metrics dumps.
 - ``serve`` — stand the library up as an async HTTP/JSON service
-  (``repro.serve``): micro-batched ``/run`` trials, ``/sweep`` grids,
+  (``repro.serve``): cached ``/run`` trials, ``/sweep`` grids,
   backpressure, a read-through result cache, Prometheus ``/metrics``,
   graceful drain on SIGTERM/SIGINT — plus, with ``--store``, durable
   persistence, tenant-scoped Bearer-token auth, and the ``/tenants``
@@ -567,7 +567,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServeConfig(
         host=args.host, port=args.port, max_pending=args.max_pending,
-        batch_window_s=args.batch_window, batch_max=args.batch_max,
         workers=args.workers, default_timeout_s=args.timeout,
         cache_dir=args.cache_dir, cache_max_entries=args.cache_max_entries,
         cache_max_bytes=args.cache_max_bytes, backend=args.backend,
@@ -597,7 +596,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # supervisor that signals on first output always gets a drain.
         print(f"serving on http://{config.host}:{server.port} "
               f"(max_pending={config.max_pending}, "
-              f"batch_window={config.batch_window_s:g}s, "
               f"workers={config.workers}, "
               f"cache={config.cache_dir or 'off'}, "
               f"store={config.store_path or 'off'})", flush=True)
@@ -1055,13 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending", type=int, default=64,
                    dest="max_pending",
                    help="admission limit before requests get 429")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   dest="batch_window",
-                   help="micro-batch coalescing window, seconds")
-    p.add_argument("--batch-max", type=int, default=16, dest="batch_max",
-                   help="dispatch a batch at this size even mid-window")
     p.add_argument("--workers", type=int, default=0,
-                   help="trial-compute processes (0 = in-process threads)")
+                   help="trial-compute processes (0 = one in-process "
+                        "compute thread)")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="default per-request deadline, seconds")
     _add_args(p, _RESULT_ARGS)

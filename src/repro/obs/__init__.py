@@ -23,7 +23,6 @@ Quickstart::
 
 from .spans import Span, SpanBuilder, SpanError, build_spans
 from .metrics import (
-    BATCH_SIZE_BUCKETS,
     DEFAULT_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
@@ -48,7 +47,6 @@ __all__ = [
     "SpanBuilder",
     "SpanError",
     "build_spans",
-    "BATCH_SIZE_BUCKETS",
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS",
     "Counter",

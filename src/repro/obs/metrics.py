@@ -118,9 +118,6 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Buckets for micro-batch sizes (request counts per dispatch).
-BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
-
 
 class Histogram:
     """Cumulative fixed-bucket histogram of observed values."""

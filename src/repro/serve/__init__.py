@@ -11,9 +11,6 @@ patterns:
 - :mod:`~repro.serve.admission` — a bounded admission queue: at
   capacity, new requests get ``429`` + ``Retry-After`` instead of
   unbounded queueing;
-- :mod:`~repro.serve.batcher` — a micro-batcher that coalesces
-  ``/run`` requests arriving within a window into one executor
-  dispatch;
 - :mod:`~repro.serve.handlers` — endpoint logic with read-through
   :class:`~repro.sweep.cache.ResultCache` integration and
   per-request deadlines;
@@ -28,7 +25,7 @@ Server-Sent Events (see :mod:`repro.stream`) — heartbeats while quiet,
 path, graceful drain included.
 
 Served results are byte-identical to in-process
-:func:`repro.sweep.executor.run_sweep` results — cold, batched, or
+:func:`repro.sweep.executor.run_sweep` results — cold, concurrent, or
 cached — and the server's cache interoperates with
 ``repro sweep --cache-dir``.
 
@@ -42,7 +39,6 @@ Quickstart::
 """
 
 from .admission import AdmissionFull, AdmissionQueue
-from .batcher import MicroBatcher, run_batch
 from .client import ServeClient, ServeError
 from .handlers import ServeHandlers, StreamHandle
 from .protocol import (
@@ -61,7 +57,6 @@ __all__ = [
     "AdmissionFull",
     "AdmissionQueue",
     "BackgroundServer",
-    "MicroBatcher",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RetryExhausted",
@@ -78,5 +73,4 @@ __all__ = [
     "call_with_retry",
     "error_body",
     "parse_body",
-    "run_batch",
 ]

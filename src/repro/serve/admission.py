@@ -1,7 +1,7 @@
 """Admission control: a bounded slot pool with backpressure.
 
-The server admits at most ``limit`` requests at a time (queued in the
-micro-batcher plus in flight on the executor).  When every slot is
+The server admits at most ``limit`` requests at a time (waiting for
+or in flight on the compute executor).  When every slot is
 taken, new work is *rejected immediately* with :class:`AdmissionFull`
 — which the HTTP layer maps to ``429 Too Many Requests`` plus a
 ``Retry-After`` header — instead of queueing unboundedly and letting

@@ -13,8 +13,8 @@ network.  The flow for ``POST /run``:
 4. take an admission slot — or 429 + ``Retry-After``;
 5. read-through the :class:`~repro.sweep.cache.ResultCache` — a hit
    answers without touching the executor;
-6. miss: submit to the :class:`~repro.serve.batcher.MicroBatcher`
-   under the request deadline — 504 ``deadline_exceeded`` on timeout;
+6. miss: compute the trial on the server's compute executor under
+   the request deadline — 504 ``deadline_exceeded`` on timeout;
 7. write the computed payload back to the cache (same address scheme
    as ``repro sweep --cache-dir``, so the two interoperate).
 
@@ -45,6 +45,7 @@ cannot stream (no event traces) and get 422 ``stream_unsupported``.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import secrets
 import urllib.parse
 from dataclasses import dataclass, field
@@ -69,7 +70,6 @@ from ..stream import (
 )
 from ..sweep.cache import ResultCache
 from .admission import AdmissionFull, AdmissionQueue
-from .batcher import MicroBatcher
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -127,7 +127,7 @@ class StreamHandle:
 class ServeHandlers:
     """Routes parsed HTTP requests onto the scheduler, cache, and store."""
 
-    def __init__(self, *, batcher: MicroBatcher,
+    def __init__(self, *, executor: concurrent.futures.Executor,
                  admission: AdmissionQueue,
                  registry: MetricsRegistry,
                  cache: Optional[ResultCache] = None,
@@ -135,11 +135,10 @@ class ServeHandlers:
                  default_tenant: str = "public",
                  require_token: bool = False,
                  default_timeout_s: float = 30.0,
-                 sweep_workers: int = 1,
                  default_backend: str = "reference",
                  stream_queue: int = DEFAULT_QUEUE_FRAMES,
                  stream_keep: int = 64) -> None:
-        self.batcher = batcher
+        self.executor = executor
         self.admission = admission
         self.registry = registry
         self.cache = cache
@@ -148,7 +147,6 @@ class ServeHandlers:
         self.require_token = require_token and store is not None
         self._tiers: Dict[str, StoreTier] = {}
         self.default_timeout_s = default_timeout_s
-        self.sweep_workers = sweep_workers
         self.default_backend = default_backend
         self.hub = StreamHub(keep_finished=stream_keep,
                              max_queue=stream_queue, registry=registry)
@@ -424,28 +422,38 @@ class ServeHandlers:
                 if stored is not None:
                     self._record_lookup(hit=True)
                     return (200,
-                            run_response(stored["trials"][0], cached=True,
-                                         batch_size=0),
+                            run_response(stored["trials"][0], cached=True),
                             {})
             self._record_lookup(hit=False)
-            try:
-                payload, batch_size = await asyncio.wait_for(
-                    self.batcher.submit(request.task(backend=engine)),
-                    timeout)
-            except asyncio.TimeoutError:
-                self._timeouts.inc()
-                raise ProtocolError(
-                    504, "deadline_exceeded",
-                    f"no result within {timeout:g}s (the trial keeps "
-                    f"computing; a retry may hit the cache)") from None
+            payload = await self._compute(
+                request.task(backend=engine), timeout,
+                " (the trial keeps computing; a retry may hit the cache)")
             if tier is not None:
                 await self._offload(lambda: tier.put(
                     address, {"cell": request.cell().key_dict(),
                               "trials": [payload]}))
-            return (200,
-                    run_response(payload, cached=False,
-                                 batch_size=batch_size),
-                    {})
+            return 200, run_response(payload, cached=False), {}
+
+    async def _compute(self, task: Dict[str, Any], timeout: float,
+                       hint: str = "") -> Dict[str, Any]:
+        """Run one buffered trial on the compute executor, under a deadline.
+
+        The executor is one thread at ``workers=0``, so buffered trials
+        run one at a time instead of interleaving under the interpreter
+        lock; with ``workers > 0`` it is the process pool.  A timed-out
+        trial keeps computing; only its waiter gives up.
+        """
+        from ..sweep.executor import run_trial
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                loop.run_in_executor(self.executor, run_trial, task),
+                timeout)
+        except asyncio.TimeoutError:
+            self._timeouts.inc()
+            raise ProtocolError(
+                504, "deadline_exceeded",
+                f"no result within {timeout:g}s{hint}") from None
 
     async def _run_streamed(self, request: RunRequest,
                             ctx: RequestContext) -> Response:
@@ -578,10 +586,11 @@ class ServeHandlers:
         """One raw executor task — the fabric's remote-worker endpoint.
 
         Same gate sequence as ``/run`` (validate, resolve, preflight,
-        admission, batcher, deadline) but *no* cache read-through or
-        write-back: the task names one trial of an n-trial cell, and
-        cell-level caching belongs to whoever assembles all n trials —
-        the fabric coordinator or ``run_sweep`` — not to the worker.
+        admission, compute executor, deadline) but *no* cache
+        read-through or write-back: the task names one trial of an
+        n-trial cell, and cell-level caching belongs to whoever
+        assembles all n trials — the fabric coordinator or
+        ``run_sweep`` — not to the worker.
         """
         request = TaskRequest.from_body(parse_body(body))
         self._resolve_flag(request.cell.flag)
@@ -590,19 +599,9 @@ class ServeHandlers:
                                observe=request.observe)
         timeout = request.timeout_s or self.default_timeout_s
         with self.admission.slot():
-            try:
-                payload, batch_size = await asyncio.wait_for(
-                    self.batcher.submit(request.task(backend=engine)),
-                    timeout)
-            except asyncio.TimeoutError:
-                self._timeouts.inc()
-                raise ProtocolError(
-                    504, "deadline_exceeded",
-                    f"no result within {timeout:g}s") from None
-            return (200,
-                    task_response(payload, trial=request.trial,
-                                  batch_size=batch_size),
-                    {})
+            payload = await self._compute(request.task(backend=engine),
+                                          timeout)
+            return 200, task_response(payload, trial=request.trial), {}
 
     async def _sweep(self, body: bytes, ctx: RequestContext) -> Response:
         request = SweepRequest.from_body(parse_body(body))
@@ -623,7 +622,7 @@ class ServeHandlers:
                 result = await asyncio.wait_for(
                     loop.run_in_executor(
                         None, lambda: run_sweep(
-                            request.spec, workers=self.sweep_workers,
+                            request.spec, workers=1,
                             cache=tier,
                             observe=request.observe,
                             backend=backend)),

@@ -432,11 +432,11 @@ class SweepRequest:
                    timeout_s=_as_timeout(body))
 
 
-def run_response(payload: Dict[str, Any], *, cached: bool,
-                 batch_size: int) -> Dict[str, Any]:
+def run_response(payload: Dict[str, Any], *,
+                 cached: bool) -> Dict[str, Any]:
     """The ``POST /run`` response envelope around one trial payload."""
     return {"protocol": PROTOCOL_VERSION, "cached": cached,
-            "batch_size": batch_size, "trial": payload}
+            "trial": payload}
 
 
 def stream_response(token: str, *, cached: bool,
@@ -452,11 +452,11 @@ def stream_response(token: str, *, cached: bool,
             "cached": cached, "runs": runs}
 
 
-def task_response(payload: Dict[str, Any], *, trial: int,
-                  batch_size: int) -> Dict[str, Any]:
+def task_response(payload: Dict[str, Any], *,
+                  trial: int) -> Dict[str, Any]:
     """The ``POST /task`` response envelope around one trial payload."""
     return {"protocol": PROTOCOL_VERSION, "trial_index": trial,
-            "batch_size": batch_size, "trial": payload}
+            "trial": payload}
 
 
 def sweep_response(rows: List[List[str]], *, computed_trials: int,

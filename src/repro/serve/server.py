@@ -7,11 +7,14 @@ connection).  Endpoint logic lives in :mod:`repro.serve.handlers`;
 this module owns sockets, the metrics around them (request counts and
 latency histograms), and the lifecycle:
 
-- :meth:`ServeServer.start` binds (port 0 picks an ephemeral port),
-  starts the micro-batcher and, when ``workers > 0``, a process pool;
+- :class:`ServeServer` owns one compute executor for buffered trials:
+  a single thread at ``workers=0`` (buffered trials then run one at a
+  time rather than interleave under the interpreter lock), else a
+  process pool of ``workers``;
+- :meth:`ServeServer.start` binds (port 0 picks an ephemeral port);
 - :meth:`ServeServer.serve_forever` runs until :meth:`shutdown`;
 - :meth:`ServeServer.shutdown` is the graceful drain: stop accepting,
-  let admitted requests finish, stop the batcher, release the pool.
+  let admitted requests finish, release the compute executor.
   The CLI wires it to ``SIGTERM``/``SIGINT``.
 
 :class:`BackgroundServer` runs the whole thing on a daemon thread —
@@ -38,7 +41,6 @@ from ..stream import (
 )
 from ..sweep.cache import ResultCache
 from .admission import AdmissionQueue
-from .batcher import MicroBatcher
 from .handlers import ServeHandlers, StreamHandle
 from .protocol import (
     DEFAULT_MAX_BODY_BYTES,
@@ -66,12 +68,11 @@ class ServeConfig:
         max_pending: admission limit — requests admitted (queued +
             in flight) before new ones get 429.
         retry_after_s: the ``Retry-After`` hint on 429 responses.
-        batch_window_s: micro-batch coalescing window.
-        batch_max: dispatch a batch at this size even mid-window.
-        workers: executor processes for trial compute; 0 runs trials
-            on the event loop's thread pool (right for tests and
-            single-core boxes — a process pool there is pure
-            overhead, the same reasoning as ``test_sweep_scaling``).
+        workers: executor processes for buffered ``/run`` and
+            ``/task`` trials; 0 runs them one at a time on a single
+            compute thread (right for tests and small boxes — a
+            process pool there is pure overhead, the same reasoning
+            as ``test_sweep_scaling``).
         default_timeout_s: per-request deadline when the request
             body carries no ``timeout_s``.
         max_body_bytes: request bodies above this get 413.
@@ -105,8 +106,6 @@ class ServeConfig:
     port: int = 0
     max_pending: int = 64
     retry_after_s: float = 1.0
-    batch_window_s: float = 0.005
-    batch_max: int = 16
     workers: int = 0
     default_timeout_s: float = 30.0
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
@@ -145,16 +144,15 @@ class ServeServer:
         self.admission = AdmissionQueue(self.config.max_pending,
                                         retry_after_s=self.config.retry_after_s,
                                         registry=self.registry)
-        self._pool: Optional[concurrent.futures.Executor] = None
+        self._executor: Optional[concurrent.futures.Executor]
         if self.config.workers > 0:
             from ..sweep.executor import _pool
-            self._pool = _pool(self.config.workers)
-        self.batcher = MicroBatcher(window_s=self.config.batch_window_s,
-                                    max_batch=self.config.batch_max,
-                                    executor=self._pool,
-                                    registry=self.registry)
+            self._executor = _pool(self.config.workers)
+        else:
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1)
         self.handlers = ServeHandlers(
-            batcher=self.batcher, admission=self.admission,
+            executor=self._executor, admission=self.admission,
             registry=self.registry, cache=self.cache,
             store=self.store,
             default_tenant=self.config.store_tenant,
@@ -183,9 +181,8 @@ class ServeServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the socket and start the batcher; returns when live."""
+        """Bind the socket; returns when live."""
         self._stopped = asyncio.Event()
-        self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
 
@@ -220,10 +217,9 @@ class ServeServer:
             if not self._stream_wakers:
                 break
             await asyncio.sleep(0.01)
-        await self.batcher.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
         if self._own_store and self.store is not None:
             self.store.close()  # the server opened it; the server closes it
         self._stopped.set()

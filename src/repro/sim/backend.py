@@ -17,10 +17,11 @@ An engine executes sweep *tasks*: the JSON-safe ``(cell, trial)`` dicts
 same two guarantees the rest of the stack is built on:
 
 1. **Seed identity.**  Trial ``t`` of a cell draws from the stream
-   ``trial_seed_sequences(seed, n_trials, cell_key=...)[t]`` — the
-   policy in :mod:`repro.sweep.seeding` — and consumes it in exactly
-   the order the reference engine would, so the *metrics* of trial
-   ``t`` are identical bit for bit across backends.
+   ``trial_seed_sequences(seed, n_trials, cell_key=..., trials=(t,))``
+   — the policy in :mod:`repro.sweep.seeding`, which derives only the
+   children a call asks for — and consumes it in exactly the order the
+   reference engine would, so the *metrics* of trial ``t`` are
+   identical bit for bit across backends.
 2. **Purity.**  A task's result is a function of the task dict alone —
    not of which engine ran it in which process at what batch size —
    so caching, retries, hedging, and work stealing stay sound.

@@ -69,10 +69,10 @@ def run_vector_cell(tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             f"scenario {cell.get('scenario')}: {reason}")
 
     plan = build_cell_plan(cell)
-    sequences = trial_seed_sequences(first["seed"], first["n_trials"],
-                                     cell_key=first["cell_key"])
     trials = [task["trial"] for task in tasks]
-    rngs = [np.random.default_rng(sequences[t]) for t in trials]
+    rngs = [np.random.default_rng(ss) for ss in trial_seed_sequences(
+        first["seed"], first["n_trials"], cell_key=first["cell_key"],
+        trials=trials)]
     colors = list(plan.spec.colors_used())
     teams = [
         make_team(f"trial{t}", cell["team_size"], rng, colors=colors,

@@ -39,7 +39,7 @@ class StoreTier:
         store_puts: payloads persisted to the store by :meth:`put`.
 
     Both counters are incremented under a private lock: a tier is
-    shared by serve's batcher threads, so lost updates would skew the
+    shared by serve's executor threads, so lost updates would skew the
     hit-rate arithmetic the smoke tests pin.
     """
 

@@ -121,7 +121,7 @@ def run_trial(task: Dict[str, Any],
     cell = task["cell"]
     trial = task["trial"]
     ss = trial_seed_sequences(task["seed"], task["n_trials"],
-                              cell_key=task["cell_key"])[trial]
+                              cell_key=task["cell_key"], trials=(trial,))[0]
     rng = np.random.default_rng(ss)
 
     spec = get_flag(cell["flag"])

@@ -29,7 +29,7 @@ entropy with a distinct spawn key per child, so:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +49,13 @@ def trial_seed_sequences(
     n_trials: int,
     *,
     cell_key: Optional[str] = None,
+    trials: Optional[Sequence[int]] = None,
 ) -> List[np.random.SeedSequence]:
-    """The ``n_trials`` independent child sequences of a batch.
+    """The independent child sequences of a batch, in ``trials`` order.
+
+    Child ``t`` is built directly as ``SeedSequence(entropy,
+    spawn_key=(t,))``, which is bit-identical to ``spawn(n_trials)[t]``,
+    so a call that needs one trial derives one child, not ``n_trials``.
 
     Args:
         seed: the user-facing batch seed.
@@ -58,14 +63,24 @@ def trial_seed_sequences(
         cell_key: canonical identity of the sweep cell, when the batch
             is one cell of a grid; ``None`` for standalone batches
             (``replay_many``).
+        trials: the trial indices to derive; ``None`` means every
+            trial, ``range(n_trials)``.
 
     Raises:
         ValueError: on negative ``n_trials``.
+        IndexError: on a trial index outside ``range(n_trials)``.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    if trials is None:
+        trials = range(n_trials)
     entropy = [seed] if cell_key is None else [seed, key_entropy(cell_key)]
-    return np.random.SeedSequence(entropy).spawn(n_trials)
+    children = []
+    for t in trials:
+        if not 0 <= t < n_trials:
+            raise IndexError(f"trial {t} is outside range({n_trials})")
+        children.append(np.random.SeedSequence(entropy, spawn_key=(t,)))
+    return children
 
 
 def trial_rngs(

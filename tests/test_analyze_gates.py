@@ -45,7 +45,7 @@ def fresh_verdict(cell):
 
 @pytest.fixture(scope="module")
 def server():
-    with BackgroundServer(ServeConfig(batch_window_s=0.01)) as bg:
+    with BackgroundServer(ServeConfig()) as bg:
         yield bg
 
 

@@ -36,7 +36,7 @@ def assert_identical(a, b):
 
 @pytest.fixture(scope="module")
 def server():
-    with BackgroundServer(ServeConfig(batch_window_s=0.005)) as bg:
+    with BackgroundServer(ServeConfig()) as bg:
         yield bg
 
 

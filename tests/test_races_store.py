@@ -11,12 +11,12 @@ the CI ``race`` job replays it on happens-before shims.
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import MetricsRegistry
 from repro.races import RaceSanitizer, maybe_sanitized
 from repro.serve import BackgroundServer, ServeConfig
 from repro.serve.admission import AdmissionQueue
-from repro.serve.batcher import MicroBatcher
 from repro.serve.handlers import ServeHandlers
 from repro.store import ResultStore, StoreTier
 
@@ -148,8 +148,9 @@ class TestServeTenantTiers:
         # so neither has published its tier when the other looks: the
         # memo must still hand both callers the same tier, or the
         # loser's hit/put counts land on a tier nobody reads again.
-        with ResultStore(tmp_path / "s.db") as store:
-            handlers = ServeHandlers(batcher=MicroBatcher(),
+        with ResultStore(tmp_path / "s.db") as store, \
+                ThreadPoolExecutor(1) as executor:
+            handlers = ServeHandlers(executor=executor,
                                      admission=AdmissionQueue(1),
                                      registry=MetricsRegistry(),
                                      store=store)

@@ -1,142 +1,9 @@
-"""Tests for repro.serve.batcher and repro.serve.admission."""
-
-import asyncio
+"""Tests for repro.serve.admission."""
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve.admission import AdmissionFull, AdmissionQueue
-from repro.serve.batcher import MicroBatcher, run_batch
-from repro.serve.protocol import RunRequest
-
-
-def _task(seed):
-    return RunRequest.from_body({"flag": "poland", "seed": seed}).task()
-
-
-class TestRunBatch:
-    def test_executes_tasks_in_order(self):
-        payloads = run_batch([_task(0), _task(1)])
-        assert [p["trial"] for p in payloads] == [0, 0]
-        assert all("runs" in p for p in payloads)
-
-    def test_batching_never_changes_a_result(self):
-        alone = run_batch([_task(3)])[0]
-        batched = run_batch([_task(1), _task(3), _task(5)])[1]
-        assert batched == alone
-
-
-class TestMicroBatcher:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
-    def test_concurrent_submissions_coalesce(self, monkeypatch):
-        seen = []
-
-        def fake_batch(tasks):
-            seen.append(len(tasks))
-            return [{"task": t} for t in tasks]
-
-        monkeypatch.setattr("repro.serve.batcher.run_batch", fake_batch)
-
-        async def main():
-            batcher = MicroBatcher(window_s=0.2, max_batch=8)
-            batcher.start()
-            results = await asyncio.gather(
-                batcher.submit({"n": 1}), batcher.submit({"n": 2}),
-                batcher.submit({"n": 3}))
-            await batcher.stop()
-            return results
-
-        results = self._run(main())
-        assert seen == [3]
-        assert [size for _, size in results] == [3, 3, 3]
-        assert [payload["task"]["n"] for payload, _ in results] == [1, 2, 3]
-
-    def test_max_batch_splits_dispatches(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(
-            "repro.serve.batcher.run_batch",
-            lambda tasks: seen.append(len(tasks)) or [{}] * len(tasks))
-
-        async def main():
-            batcher = MicroBatcher(window_s=0.2, max_batch=2)
-            batcher.start()
-            await asyncio.gather(*[batcher.submit({"n": i})
-                                   for i in range(4)])
-            await batcher.stop()
-
-        self._run(main())
-        assert seen == [2, 2]
-
-    def test_compute_failure_fails_every_waiter(self, monkeypatch):
-        def boom(tasks):
-            raise RuntimeError("worker died")
-
-        monkeypatch.setattr("repro.serve.batcher.run_batch", boom)
-
-        async def main():
-            batcher = MicroBatcher(window_s=0.05, max_batch=4)
-            batcher.start()
-            results = await asyncio.gather(
-                batcher.submit({"n": 1}), batcher.submit({"n": 2}),
-                return_exceptions=True)
-            await batcher.stop()
-            return results
-
-        results = self._run(main())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_stop_drains_queued_work(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.batcher.run_batch",
-                            lambda tasks: [{}] * len(tasks))
-
-        async def main():
-            batcher = MicroBatcher(window_s=0.01, max_batch=4)
-            batcher.start()
-            pending = [asyncio.ensure_future(batcher.submit({"n": i}))
-                       for i in range(3)]
-            await asyncio.sleep(0)  # let submissions enqueue
-            await batcher.stop()
-            return await asyncio.gather(*pending)
-
-        results = self._run(main())
-        assert len(results) == 3
-
-    def test_submit_after_stop_rejected(self):
-        async def main():
-            batcher = MicroBatcher()
-            batcher.start()
-            await batcher.stop()
-            with pytest.raises(RuntimeError):
-                await batcher.submit({"n": 1})
-
-        self._run(main())
-
-    def test_batch_size_metrics_recorded(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.batcher.run_batch",
-                            lambda tasks: [{}] * len(tasks))
-        registry = MetricsRegistry()
-
-        async def main():
-            batcher = MicroBatcher(window_s=0.2, max_batch=8,
-                                   registry=registry)
-            batcher.start()
-            await asyncio.gather(batcher.submit({"n": 1}),
-                                 batcher.submit({"n": 2}))
-            await batcher.stop()
-
-        self._run(main())
-        hist = registry.histogram("serve_batch_size")
-        assert hist.count() == 1
-        assert hist.sum() == 2.0
-        assert registry.counter("serve_batched_trials_total").value() == 2
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(window_s=-1)
-        with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0)
 
 
 class TestAdmissionQueue:

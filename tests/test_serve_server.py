@@ -1,9 +1,12 @@
 """End-to-end tests for repro.serve — a live server on a thread.
 
 Covers the serving acceptance criteria: determinism (a served trial is
-byte-identical to the in-process one — cold, batched, or cached),
+byte-identical to the in-process one — cold, concurrent, or cached),
 backpressure (429 + Retry-After at capacity), deadlines (504), the
-structured protocol error paths, metrics exposure, and graceful drain.
+structured protocol error paths, metrics exposure, graceful drain, and
+the compute executor (buffered trials at ``workers=0`` run one at a
+time).  Tests that need a trial in flight hold it on a
+``threading.Event`` gate around ``run_trial``, never on a sleep.
 """
 
 import http.client
@@ -23,7 +26,7 @@ from repro.serve import (
 )
 from repro.sweep import ResultCache, SweepSpec, TrialRecord, run_sweep
 from repro.sweep.executor import run_trial
-import repro.serve.batcher as batcher_module
+import repro.sweep.executor as executor_module
 from repro.serve.protocol import RunRequest
 
 
@@ -36,9 +39,60 @@ def canon(obj):
 def server(tmp_path_factory):
     """One live server (with cache) shared across this module."""
     cache_dir = tmp_path_factory.mktemp("serve-cache")
-    config = ServeConfig(cache_dir=str(cache_dir), batch_window_s=0.01)
+    config = ServeConfig(cache_dir=str(cache_dir))
     with BackgroundServer(config) as bg:
         yield bg
+
+
+class GatedTrial:
+    """A ``run_trial`` stand-in that holds each call until released.
+
+    Every call records its thread and the number of calls running at
+    once, sets ``entered``, waits for ``release``, then computes the
+    real trial.  ``fail_next`` makes the next call raise instead.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.fail_next = False
+        self.peak = 0
+        self.threads = set()
+        self._running = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, task):
+        with self._lock:
+            self._running += 1
+            self.peak = max(self.peak, self._running)
+            self.threads.add(threading.get_ident())
+            fail, self.fail_next = self.fail_next, False
+        try:
+            self.entered.set()
+            assert self.release.wait(timeout=30), "gate never released"
+            if fail:
+                raise RuntimeError("engine blew up")
+            return run_trial(task)
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Route the server's buffered trials through a :class:`GatedTrial`."""
+    gated = GatedTrial()
+    monkeypatch.setattr(executor_module, "run_trial", gated)
+    yield gated
+    gated.release.set()  # never leave a compute thread parked
+
+
+def wait_until(predicate, what, timeout=10.0):
+    """Poll ``predicate`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
 
 
 class TestEndpoints:
@@ -57,7 +111,7 @@ class TestEndpoints:
     def test_metrics_exposition(self, server):
         server.client().run(flag="poland", scenario=3, seed=1)
         text = server.client().metrics()
-        for series in ("serve_queue_depth", "serve_batch_size_bucket",
+        for series in ("serve_queue_depth",
                        "serve_cache_hit_ratio", "serve_cache_hits_total",
                        "serve_request_latency_seconds_bucket",
                        "serve_requests_total"):
@@ -98,10 +152,9 @@ class TestRunDeterminism:
         expected = run_sweep(spec).cells[0].trials[0]
         assert TrialRecord.from_payload(reply["trial"]) == expected
 
-    def test_batched_requests_identical_to_solo_runs(self):
-        """Trials coalesced into one dispatch match in-process runs."""
-        config = ServeConfig(batch_window_s=0.25, batch_max=8)
-        with BackgroundServer(config) as bg:
+    def test_concurrent_requests_identical_to_solo_runs(self):
+        """Trials requested at the same time match in-process runs."""
+        with BackgroundServer() as bg:
             replies = {}
 
             def issue(seed):
@@ -114,7 +167,6 @@ class TestRunDeterminism:
                 t.start()
             for t in threads:
                 t.join()
-            assert max(r["batch_size"] for r in replies.values()) == 2
             for seed, reply in replies.items():
                 solo = run_trial(RunRequest.from_body(
                     {"flag": "poland", "scenario": 3,
@@ -134,9 +186,8 @@ class TestRunDeterminism:
 
 
 class TestBackpressure:
-    def test_429_with_retry_after_when_queue_full(self):
-        config = ServeConfig(max_pending=1, batch_window_s=0.4,
-                             retry_after_s=2.0)
+    def test_429_with_retry_after_when_queue_full(self, gate):
+        config = ServeConfig(max_pending=1, retry_after_s=2.0)
         with BackgroundServer(config) as bg:
             outcome = {}
 
@@ -147,10 +198,15 @@ class TestBackpressure:
 
             t = threading.Thread(target=occupant)
             t.start()
-            time.sleep(0.15)  # let the first request take the only slot
-            with pytest.raises(ServeError) as err:
-                bg.client().run(flag="poland", scenario=3, seed=92)
-            t.join()
+            try:
+                # The occupant holds the only slot while its trial is
+                # parked on the gate.
+                assert gate.entered.wait(10.0)
+                with pytest.raises(ServeError) as err:
+                    bg.client().run(flag="poland", scenario=3, seed=92)
+            finally:
+                gate.release.set()
+                t.join()
             assert err.value.status == 429
             assert err.value.code == "too_many_requests"
             assert err.value.retry_after == 2.0
@@ -158,35 +214,132 @@ class TestBackpressure:
             metrics = bg.client().metrics()
             assert "serve_admission_rejects_total 1" in metrics
 
-    def test_healthz_still_answers_under_load(self, monkeypatch):
-        # The occupant's batch blocks until released, so it holds the
+    def test_healthz_still_answers_under_load(self, gate):
+        # The occupant's trial blocks until released, so it holds the
         # only admission slot for as long as the test needs it.
-        release = threading.Event()
-        real_run_batch = batcher_module.run_batch
-
-        def gated_run_batch(tasks):
-            release.wait(timeout=30)
-            return real_run_batch(tasks)
-
-        monkeypatch.setattr(batcher_module, "run_batch", gated_run_batch)
-        config = ServeConfig(max_pending=1, batch_window_s=0.01)
+        config = ServeConfig(max_pending=1)
         with BackgroundServer(config) as bg:
             t = threading.Thread(
                 target=lambda: bg.client().run(flag="poland",
                                                scenario=3, seed=93))
             t.start()
             try:
-                deadline = time.monotonic() + 10.0
-                while bg.server.admission.depth < 1:
-                    assert time.monotonic() < deadline, \
-                        "the occupant never took its admission slot"
-                    time.sleep(0.005)
+                assert gate.entered.wait(10.0), \
+                    "the occupant never reached its trial"
                 health = bg.client().healthz()  # bypasses admission
             finally:
-                release.set()
+                gate.release.set()
                 t.join()
             assert health["status"] == "ok"
             assert health["queue_depth"] == 1
+
+
+class SubmitSpy:
+    """Wraps an executor and counts the tasks submitted to it."""
+
+    def __init__(self, inner, *, expect):
+        self.inner = inner
+        self.submitted = 0
+        self.all_submitted = threading.Event()
+        self._expect = expect
+        self._lock = threading.Lock()
+
+    def submit(self, fn, *args):
+        future = self.inner.submit(fn, *args)
+        with self._lock:
+            self.submitted += 1
+            if self.submitted >= self._expect:
+                self.all_submitted.set()
+        return future
+
+
+class TestComputeExecutor:
+    def test_buffered_trials_run_one_at_a_time(self, monkeypatch):
+        # The first trial parks until the second has been handed to the
+        # executor.  A pool with a spare thread would start the second
+        # on that thread at once; one compute thread must queue it.
+        gated = GatedTrial()
+        monkeypatch.setattr(executor_module, "run_trial", gated)
+        with BackgroundServer() as bg:
+            spy = SubmitSpy(bg.server.handlers.executor, expect=2)
+            bg.server.handlers.executor = spy
+            replies = {}
+
+            def issue(seed):
+                replies[seed] = bg.client().run(flag="poland",
+                                                scenario=3, seed=seed)
+
+            threads = [threading.Thread(target=issue, args=(seed,))
+                       for seed in (61, 62)]
+            for t in threads:
+                t.start()
+            try:
+                assert spy.all_submitted.wait(10.0)
+                assert gated.entered.wait(10.0)
+            finally:
+                gated.release.set()
+                for t in threads:
+                    t.join()
+        assert gated.peak == 1
+        assert len(gated.threads) == 1
+        assert sorted(replies) == [61, 62]
+        assert all("runs" in r["trial"] for r in replies.values())
+
+    def test_failed_trial_is_structured_500_and_frees_its_slot(self, gate):
+        gate.fail_next = True
+        gate.release.set()
+        with BackgroundServer(ServeConfig(max_pending=1)) as bg:
+            with pytest.raises(ServeError) as err:
+                bg.client().run(flag="poland", scenario=3, seed=95)
+            assert err.value.status == 500
+            assert err.value.code == "internal"
+            assert "engine blew up" in str(err.value)
+            assert "Traceback" not in str(err.value)
+            assert bg.server.admission.depth == 0
+            reply = bg.client().run(flag="poland", scenario=3, seed=95)
+        assert reply["cached"] is False
+        assert "runs" in reply["trial"]
+
+    def test_drain_waits_for_an_inflight_buffered_run(self, gate):
+        bg = BackgroundServer().__enter__()
+        outcome = {}
+
+        def occupant():
+            outcome["reply"] = bg.client().run(flag="poland", scenario=3,
+                                               seed=96)
+
+        t = threading.Thread(target=occupant)
+        t.start()
+        assert gate.entered.wait(10.0)
+        drain = threading.Thread(target=bg.__exit__,
+                                 args=(None, None, None))
+        drain.start()
+        try:
+            # Read the listener's state rather than probe it: a connect
+            # racing the close can be accepted after the server is shut.
+            wait_until(lambda: not bg.server._server.is_serving(),
+                       "the drain never closed the listener")
+            assert t.is_alive() and drain.is_alive()
+        finally:
+            gate.release.set()
+            t.join(timeout=15.0)
+            drain.join(timeout=15.0)
+        assert not drain.is_alive()
+        assert outcome["reply"]["cached"] is False
+        assert "runs" in outcome["reply"]["trial"]
+
+    def test_process_pool_trials_identical_to_in_process(self):
+        # workers > 0 computes buffered /run and /task trials on the
+        # process pool; the bytes must not depend on where they ran.
+        body = {"flag": "poland", "scenario": 3, "seed": 97}
+        task = RunRequest.from_body(body).task()
+        with BackgroundServer(ServeConfig(workers=1)) as bg:
+            run = bg.client().run(**body)
+            served_task = bg.client().task(task["cell"], seed=97,
+                                           n_trials=1, trial=0)
+        assert run["cached"] is False
+        assert canon(run["trial"]) == canon(run_trial(task))
+        assert canon(served_task["trial"]) == canon(run_trial(task))
 
 
 class TestDeadlines:

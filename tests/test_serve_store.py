@@ -45,8 +45,7 @@ def store_server(tmp_path_factory):
                           expires_at=1.0)  # long past, on any clock
     config = ServeConfig(cache_dir=str(root / "cache"),
                          store_path=str(db),
-                         require_token=True,
-                         batch_window_s=0.01)
+                         require_token=True)
     with BackgroundServer(config) as bg:
         yield bg
 
@@ -252,8 +251,7 @@ class TestAnonymousScoping:
             store.ensure_tenant("usi/cs1")
             store.put_result("secret", {"v": 1}, tenant="usi/cs1")
         config = ServeConfig(cache_dir=str(root / "cache"),
-                             store_path=str(db),
-                             batch_window_s=0.01)
+                             store_path=str(db))
         with BackgroundServer(config) as bg:
             yield bg
 
@@ -282,8 +280,7 @@ class TestAnonymousScoping:
 
 class TestStoreDisabled:
     def test_store_endpoints_404_without_a_store(self, tmp_path):
-        config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             batch_window_s=0.01)
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"))
         with BackgroundServer(config) as bg:
             for call in (bg.client().tenants, bg.client().results):
                 with pytest.raises(ServeError) as err:
@@ -303,14 +300,14 @@ class TestDurability:
         fields = dict(flag="mauritius", scenario=3, seed=21)
 
         config = ServeConfig(cache_dir=str(cache_dir),
-                             store_path=str(db), batch_window_s=0.01)
+                             store_path=str(db))
         with BackgroundServer(config) as bg:
             first = bg.client().run(**fields)
         assert first["cached"] is False
         shutil.rmtree(cache_dir)  # the disk cache is gone
 
         config = ServeConfig(cache_dir=str(tmp_path / "cache2"),
-                             store_path=str(db), batch_window_s=0.01)
+                             store_path=str(db))
         with BackgroundServer(config) as bg:
             again = bg.client().run(**fields)
         assert again["cached"] is True

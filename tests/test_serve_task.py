@@ -34,7 +34,7 @@ def a_cell(**overrides):
 
 @pytest.fixture(scope="module")
 def server():
-    with BackgroundServer(ServeConfig(batch_window_s=0.01)) as bg:
+    with BackgroundServer(ServeConfig()) as bg:
         yield bg
 
 
@@ -179,6 +179,20 @@ class TestTaskEndpoint:
                                  n_trials=1, trial=0)
         assert err.value.status == 400
         assert err.value.code == "bad_field"
+
+    def test_failed_trial_is_structured_500(self, server, monkeypatch):
+        def boom(task):
+            raise RuntimeError("engine blew up")
+
+        monkeypatch.setattr("repro.sweep.executor.run_trial", boom)
+        cell = a_cell(flags=("poland",))
+        with pytest.raises(ServeError) as err:
+            server.client().task(cell.key_dict(), seed=0, n_trials=1,
+                                 trial=0)
+        assert err.value.status == 500
+        assert err.value.code == "internal"
+        assert "engine blew up" in str(err.value)
+        assert server.server.admission.depth == 0
 
     def test_deadline_is_504(self, server):
         cell = a_cell(flags=("mauritius",), scenarios=(1,), rows=24,

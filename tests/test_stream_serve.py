@@ -32,7 +32,7 @@ from repro.sweep.executor import run_trial
 def server(tmp_path_factory):
     """One live streaming-enabled server shared across this module."""
     cache_dir = tmp_path_factory.mktemp("stream-cache")
-    config = ServeConfig(cache_dir=str(cache_dir), batch_window_s=0.005)
+    config = ServeConfig(cache_dir=str(cache_dir))
     with BackgroundServer(config) as bg:
         yield bg
 
@@ -215,8 +215,7 @@ class TestHeartbeatAndDrain:
         # Satellite guarantee: shutdown mid-run waits for streamed
         # compute, and the attached subscriber's feed still closes
         # with its terminal frame.
-        config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             batch_window_s=0.005)
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"))
         frames = []
         attached = threading.Event()
         with BackgroundServer(config) as bg:
@@ -333,7 +332,7 @@ class TestSlowSubscriber:
         # the run must still finish promptly (publish never blocks)
         # and the drops must be surfaced on /metrics.
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             stream_queue=16, batch_window_s=0.005)
+                             stream_queue=16)
         with BackgroundServer(config) as bg:
             # The raw socket below may never fill: the kernel's socket
             # buffers can swallow a whole feed.  A bus subscription that
@@ -376,7 +375,7 @@ class TestStreamedAdmission:
         # max_queue=1: with a streamed run in flight, a second request
         # must bounce with 429 until the drive task releases the slot.
         config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             max_pending=1, batch_window_s=0.005)
+                             max_pending=1)
         with BackgroundServer(config) as bg:
             # Hold the streamed compute at its first publish until the
             # second request has been answered, so the slot is still

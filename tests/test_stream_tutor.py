@@ -90,8 +90,7 @@ class TestLocalLessons:
 
 class TestRemoteLessons:
     def test_remote_lesson_matches_local(self, tmp_path):
-        config = ServeConfig(cache_dir=str(tmp_path / "cache"),
-                             batch_window_s=0.005)
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"))
         with BackgroundServer(config) as bg:
             remote = run_lesson("contention", seed=7,
                                 serve=("127.0.0.1", bg.port))

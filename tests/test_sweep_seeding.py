@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.sweep import key_entropy, trial_rngs, trial_seed_sequences
 
@@ -56,6 +58,36 @@ class TestDeterminism:
         assert key_entropy("x") == key_entropy("x")
         assert key_entropy("x") != key_entropy("y")
         assert 0 <= key_entropy("x") < 2 ** 128
+
+
+class TestSelectedTrials:
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(batch_seed=st.integers(0, 2 ** 63 - 1),
+           cell_key=st.none() | st.text(max_size=24),
+           n_and_t=st.integers(1, 300).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    def test_selected_child_equals_spawned_child(self, batch_seed,
+                                                 cell_key, n_and_t):
+        n, t = n_and_t
+        entropy = ([batch_seed] if cell_key is None
+                   else [batch_seed, key_entropy(cell_key)])
+        spawned = np.random.SeedSequence(entropy).spawn(n)[t]
+        (direct,) = trial_seed_sequences(batch_seed, n, cell_key=cell_key,
+                                         trials=(t,))
+        assert np.array_equal(direct.generate_state(8),
+                              spawned.generate_state(8))
+
+    def test_children_follow_the_given_order(self):
+        every = trial_seed_sequences(3, 6, cell_key="c")
+        picked = trial_seed_sequences(3, 6, cell_key="c", trials=[4, 1, 4])
+        assert [s.generate_state(4).tolist() for s in picked] == \
+            [every[t].generate_state(4).tolist() for t in (4, 1, 4)]
+
+    @pytest.mark.parametrize("trial", [-1, 6, 100])
+    def test_index_outside_the_batch_raises(self, trial):
+        with pytest.raises(IndexError):
+            trial_seed_sequences(3, 6, trials=(trial,))
 
 
 class TestValidation:
