@@ -37,7 +37,7 @@ Findings (codes double as allowlist keys, format
   protects nothing.
 
 Known limits, on purpose: only ``self.<attr>`` accesses are tracked
-(cross-object accesses like ``sub.dropped`` are invisible), nested
+(cross-object accesses like ``sub._detached`` are invisible), nested
 functions are analyzed with an empty lockset (conservative), and
 thread-safe metric objects (``.inc()`` / ``.observe()``) count as
 reads.  The dynamic sanitizer (:mod:`repro.races.sanitizer`) covers

@@ -258,11 +258,11 @@ class ServeClient:
         A dropped connection resumes automatically: the client
         reconnects with ``Last-Event-ID`` set to the last seen cursor,
         and the server replays the missed frames from history, so the
-        yielded sequence stays gap-free.  The same resume covers
-        server-side drops — when this subscriber fell behind and its
-        bounded queue shed frames (a hole in ``seq``), the client
-        abandons the connection and re-reads the missed frames from
-        history instead of yielding a gapped feed.  Up to
+        yielded sequence stays gap-free.  The same resume covers a
+        hole in ``seq``: a feed is input from another process, and a
+        server speaking the same protocol may shed frames, so the
+        client abandons that connection and re-reads the missed frames
+        from history instead of yielding a gapped feed.  Up to
         ``max_reconnects`` consecutive *fruitless* attempts are
         absorbed; progress resets the budget.
 
@@ -281,8 +281,8 @@ class ServeClient:
                     if event.seq <= cursor:
                         continue  # replayed overlap after a reconnect
                     if event.seq > cursor + 1:
-                        # Our bounded queue overflowed server-side;
-                        # resume from the cursor to fill the hole.
+                        # The server skipped frames; resume from the
+                        # cursor to fill the hole.
                         progressed = True
                         source.close()
                         break

@@ -57,7 +57,6 @@ from ..sim.backend import BackendError, resolve_backend
 from ..store import AuthError, QuotaExceeded, ResultStore, StoreError, \
     StoreTier, UnknownCursor
 from ..stream import (
-    DEFAULT_QUEUE_FRAMES,
     StreamHub,
     StreamUnsupported,
     Subscription,
@@ -135,9 +134,7 @@ class ServeHandlers:
                  default_tenant: str = "public",
                  require_token: bool = False,
                  default_timeout_s: float = 30.0,
-                 default_backend: str = "reference",
-                 stream_queue: int = DEFAULT_QUEUE_FRAMES,
-                 stream_keep: int = 64) -> None:
+                 default_backend: str = "reference") -> None:
         self.executor = executor
         self.admission = admission
         self.registry = registry
@@ -148,8 +145,7 @@ class ServeHandlers:
         self._tiers: Dict[str, StoreTier] = {}
         self.default_timeout_s = default_timeout_s
         self.default_backend = default_backend
-        self.hub = StreamHub(keep_finished=stream_keep,
-                             max_queue=stream_queue, registry=registry)
+        self.hub = StreamHub(registry=registry)
         self._drives: set = set()  # in-flight background stream tasks
         self._hits = registry.counter(
             "serve_cache_hits_total", "/run answers served from cache")

@@ -33,12 +33,7 @@ from typing import Any, Dict, Optional
 
 from ..canonical import canonical_bytes
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
-from ..stream import (
-    DEFAULT_QUEUE_FRAMES,
-    StreamEvent,
-    encode_sse,
-    heartbeat_comment,
-)
+from ..stream import StreamEvent, encode_sse, heartbeat_comment
 from ..sweep.cache import ResultCache
 from .admission import AdmissionQueue
 from .handlers import ServeHandlers, StreamHandle
@@ -91,15 +86,13 @@ class ServeConfig:
         require_token: refuse tokenless requests on the protected
             endpoints (``/run``, ``/sweep``, ``/task``, ``/results``,
             ``/tenants``) with 401; needs ``store_path``.
-        stream_queue: bound on one SSE subscriber's undelivered live
-            frames; a lagging consumer loses its oldest frames
-            (counted, resumable from history) instead of slowing the
-            engine.
         stream_heartbeat_s: idle seconds between SSE keepalive
             comments, so proxies and clients can tell a quiet feed
             from a dead connection.
-        stream_keep: finished feeds kept around for late or resumed
-            subscribers before the oldest are dropped.
+
+    Every SSE subscriber reads its feed's one history through its own
+    cursor (:mod:`repro.stream.bus`), and the 64 newest finished feeds
+    stay readable for late or resumed subscribers.
     """
 
     host: str = "127.0.0.1"
@@ -116,9 +109,7 @@ class ServeConfig:
     store_path: Optional[str] = None
     store_tenant: str = "public"
     require_token: bool = False
-    stream_queue: int = DEFAULT_QUEUE_FRAMES
     stream_heartbeat_s: float = 10.0
-    stream_keep: int = 64
 
 
 class ServeServer:
@@ -158,9 +149,7 @@ class ServeServer:
             default_tenant=self.config.store_tenant,
             require_token=self.config.require_token,
             default_timeout_s=self.config.default_timeout_s,
-            default_backend=self.config.backend,
-            stream_queue=self.config.stream_queue,
-            stream_keep=self.config.stream_keep)
+            default_backend=self.config.backend)
         self._requests = self.registry.counter(
             "serve_requests_total", "Requests answered, by endpoint/status")
         self._latency = self.registry.histogram(

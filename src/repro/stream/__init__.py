@@ -11,9 +11,9 @@ paper's "watch the parallelism happen" classroom moment.
   frames (``seq`` / sim-time / kind / payload), SSE framing, and the
   reassembly helper that proves a feed byte-identical to the archived
   event log;
-- :mod:`~repro.stream.bus` — a thread-safe fan-out bus with bounded
-  per-subscriber queues (drop-oldest, counted, never blocking the
-  engine) and gap-free replay-from-seq resume;
+- :mod:`~repro.stream.bus` — a thread-safe fan-out bus that never
+  blocks the engine: every subscriber is a cursor into the feed's one
+  history, so a late, lagging or resumed consumer reads every frame;
 - :mod:`~repro.stream.observer` — the :class:`StreamObserver` engine
   tap (PR 2 Observer protocol) publishing archived-form event lines;
 - :mod:`~repro.stream.runner` — execute (or cache-replay) one sweep
@@ -29,13 +29,7 @@ the same run.  Streaming is a tap, never a fork.
 """
 
 from ..sim.export import event_line
-from .bus import (
-    DEFAULT_QUEUE_FRAMES,
-    RunStream,
-    StreamClosed,
-    StreamHub,
-    Subscription,
-)
+from .bus import RunStream, StreamClosed, StreamHub, Subscription
 from .observer import StreamObserver, label_sequence_factory
 from .protocol import (
     FRAME_KINDS,
@@ -74,7 +68,6 @@ from .tutor import (
 
 __all__ = [
     "ACTIVITY_RUN_LABELS",
-    "DEFAULT_QUEUE_FRAMES",
     "FRAME_KINDS",
     "LESSONS",
     "LessonReport",

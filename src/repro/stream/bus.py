@@ -1,4 +1,4 @@
-"""The stream bus: thread-safe fan-out with bounded subscriber queues.
+"""The stream bus: thread-safe fan-out over one shared feed history.
 
 The publisher is an engine thread (a :class:`~repro.stream.observer.
 StreamObserver` hook running inside the simulation loop); consumers
@@ -6,20 +6,16 @@ are SSE connections on the serve event loop, tutor renderers, or
 tests.  The contract, in priority order:
 
 1. **Publishing never blocks and never fails.**  The engine must not
-   notice observers; a slow or stuck subscriber costs it nothing.
-   Publish does O(subscribers) bounded work under a lock and returns.
-2. **Per-subscriber queues are bounded, drop-oldest.**  A subscriber
-   that cannot keep up loses its *oldest* undelivered frames; every
-   loss increments the subscription's ``dropped`` count and the bus's
-   ``stream_dropped_frames_total`` counter (surfaced on ``/metrics``).
-   The feed's envelope ``seq`` stays contiguous in the history, so a
-   dropped-on client re-resumes from its last seen cursor and reads
-   the missed frames back out of the replay history.
-3. **Replay-from-seq has no gaps.**  The stream retains its full
-   envelope history (runs are finite; a trial is a few thousand
-   frames), so ``subscribe(after=n)`` first replays ``n+1..`` from
-   history — pulled by the consumer, *not* pushed through the bounded
-   queue — then splices onto the live feed.
+   notice observers; a slow or stuck subscriber costs it nothing but
+   one wake call per frame.  Publish appends under a lock and wakes
+   every subscriber after releasing it.
+2. **Every subscriber reads the one history, without gaps.**  The
+   stream retains its full envelope history (runs are finite; a trial
+   is a few thousand frames), and a :class:`Subscription` is nothing
+   but a cursor into it.  ``subscribe(after=n)`` starts the cursor at
+   ``n``, so a late or resumed consumer reads ``n+1..`` and then keeps
+   reading as frames arrive; a consumer that falls behind reads the
+   frames it missed, in order, whenever it next pops.
 
 :class:`StreamHub` maps opaque stream tokens to their
 :class:`RunStream`, keeping a bounded LRU of finished streams around
@@ -30,14 +26,11 @@ feed.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.metrics import MetricsRegistry
 from .protocol import StreamEvent
-
-#: Default bound on one subscriber's undelivered live frames.
-DEFAULT_QUEUE_FRAMES = 1024
 
 
 class StreamClosed(Exception):
@@ -45,41 +38,23 @@ class StreamClosed(Exception):
 
 
 class Subscription:
-    """One consumer's bounded cursor into a :class:`RunStream`.
+    """One consumer's cursor into a :class:`RunStream`'s history.
 
-    Use :meth:`pop_ready` to drain everything currently deliverable
-    (replay backlog first, then live frames) and :meth:`wait` /
-    :meth:`add_waker` to sleep until more arrives.  ``wait`` works for
-    plain threads; an asyncio consumer registers a waker that is safe
-    to call from any thread (e.g. wrapping
+    Use :meth:`pop_ready` to read everything published past the cursor
+    and :meth:`wait` / :meth:`add_waker` to sleep until more arrives.
+    ``wait`` works for plain threads; an asyncio consumer registers a
+    waker that is safe to call from any thread (e.g. wrapping
     ``loop.call_soon_threadsafe``).
     """
 
-    def __init__(self, stream: "RunStream", *, after: int,
-                 max_queue: int) -> None:
+    def __init__(self, stream: "RunStream", *, after: int) -> None:
         self._stream = stream
-        self._max_queue = max_queue
-        self._live: Deque[StreamEvent] = deque()
-        self._replay_next = after + 1
-        self._live_from = stream.last_seq + 1
-        self.dropped = 0
-        self.delivered = 0
+        self._cursor = after  # frames already read: the last seq seen
         self._event = threading.Event()
         self._wakers: List[Callable[[], None]] = []
         self._detached = False
-        if self._replay_next < self._live_from or stream.finished:
+        if after < stream.last_seq or stream.finished:
             self._event.set()  # backlog (or the terminal) is waiting
-
-    # -- publisher side (called by RunStream under its lock) ---------------
-    def _offer_locked(self, event: StreamEvent) -> int:
-        """Queue one live frame; returns how many frames were dropped."""
-        dropped = 0
-        if len(self._live) >= self._max_queue:
-            self._live.popleft()
-            self.dropped += 1
-            dropped = 1
-        self._live.append(event)
-        return dropped
 
     def _wake(self) -> None:
         self._event.set()
@@ -93,30 +68,17 @@ class Subscription:
             self._wakers.append(waker)
 
     def pop_ready(self, max_frames: int = 1024) -> List[StreamEvent]:
-        """Everything deliverable right now, oldest first.
+        """The frames past the cursor, oldest first; advances it.
 
-        Replayed history comes before live frames; at most
-        ``max_frames`` are returned per call so one huge backlog cannot
-        monopolize a writer loop.
+        At most ``max_frames`` are returned per call so one huge backlog
+        cannot monopolize a writer loop.
         """
-        out: List[StreamEvent] = []
         with self._stream._lock:
             history = self._stream._history
-            while (self._replay_next < self._live_from
-                   and len(out) < max_frames):
-                out.append(history[self._replay_next - 1])
-                self._replay_next += 1
-            if self._replay_next >= self._live_from:
-                while self._live and len(out) < max_frames:
-                    ev = self._live.popleft()
-                    # A drop may have advanced the queue past frames the
-                    # replay cursor already delivered; skip duplicates.
-                    if ev.seq >= self._replay_next:
-                        out.append(ev)
-                        self._replay_next = ev.seq + 1
-            if not self._live and self._replay_next >= self._live_from:
+            out = history[self._cursor:self._cursor + max_frames]
+            self._cursor += len(out)
+            if self._cursor >= len(history):
                 self._event.clear()
-        self.delivered += len(out)
         return out
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -135,29 +97,18 @@ class Subscription:
 
 
 class RunStream:
-    """The ordered envelope history + live fan-out for one streamed run."""
+    """The ordered envelope history one streamed run's subscribers read."""
 
     def __init__(self, token: str, *,
-                 max_queue: int = DEFAULT_QUEUE_FRAMES,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.token = token
-        self.max_queue = max_queue
         self._lock = threading.Lock()
         self._history: List[StreamEvent] = []
         self._subs: List[Subscription] = []
         self._finished = False
-        self._gone_dropped = 0  # drops from since-closed subscriptions
-        self._registry = registry
-        if registry is not None:
-            self._published = registry.counter(
-                "stream_frames_published_total",
-                "Envelope frames published across all streams")
-            self._dropped = registry.counter(
-                "stream_dropped_frames_total",
-                "Frames dropped from slow subscribers' bounded queues")
-        else:
-            self._published = None
-            self._dropped = None
+        self._published = None if registry is None else registry.counter(
+            "stream_frames_published_total",
+            "Envelope frames published across all streams")
 
     @property
     def last_seq(self) -> int:
@@ -168,12 +119,6 @@ class RunStream:
     def finished(self) -> bool:
         """Whether a terminal frame has been published."""
         return self._finished
-
-    @property
-    def dropped(self) -> int:
-        """Total frames dropped across this stream's subscribers."""
-        with self._lock:
-            return sum(s.dropped for s in self._subs) + self._gone_dropped
 
     def publish(self, kind: str, *, run: Optional[str], time: float,
                 data: Optional[Dict[str, Any]] = None) -> StreamEvent:
@@ -193,24 +138,17 @@ class RunStream:
             self._history.append(event)
             if event.terminal:
                 self._finished = True
-            dropped = 0
-            for sub in self._subs:
-                dropped += sub._offer_locked(event)
             wake = list(self._subs)
         if self._published is not None:
             self._published.inc()
-        if dropped and self._dropped is not None:
-            self._dropped.inc(float(dropped))
         for sub in wake:
             sub._wake()
         return event
 
-    def subscribe(self, *, after: int = 0,
-                  max_queue: Optional[int] = None) -> Subscription:
-        """Attach a consumer, replaying history after cursor ``after``."""
+    def subscribe(self, *, after: int = 0) -> Subscription:
+        """Attach a consumer whose cursor starts after seq ``after``."""
         with self._lock:
-            sub = Subscription(self, after=max(0, after),
-                               max_queue=max_queue or self.max_queue)
+            sub = Subscription(self, after=max(0, after))
             self._subs.append(sub)
             return sub
 
@@ -218,7 +156,6 @@ class RunStream:
         with self._lock:
             if not sub._detached:
                 sub._detached = True
-                self._gone_dropped += sub.dropped
                 try:
                     self._subs.remove(sub)
                 except ValueError:  # pragma: no cover - double close race
@@ -245,10 +182,8 @@ class StreamHub:
     """
 
     def __init__(self, *, keep_finished: int = 64,
-                 max_queue: int = DEFAULT_QUEUE_FRAMES,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.keep_finished = keep_finished
-        self.max_queue = max_queue
         self._registry = registry
         self._lock = threading.Lock()
         self._streams: "OrderedDict[str, RunStream]" = OrderedDict()
@@ -262,8 +197,7 @@ class StreamHub:
         with self._lock:
             if token in self._streams:
                 raise ValueError(f"stream token {token!r} already exists")
-            stream = RunStream(token, max_queue=self.max_queue,
-                               registry=self._registry)
+            stream = RunStream(token, registry=self._registry)
             self._streams[token] = stream
             self._evict_locked()
             return stream

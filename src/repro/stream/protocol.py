@@ -169,8 +169,9 @@ def reassemble_feed(events: Iterable[StreamEvent]
 
     Deduplicates on ``seq`` (resumed feeds legitimately repeat frames),
     then checks the surviving cursor sequence is contiguous — a hole
-    means events were dropped for this subscriber and the caller should
-    resume from the gap instead of trusting the text.
+    means the feed lost frames on the way (a cut connection, or a peer
+    that sheds them) and the caller should resume from the gap instead
+    of trusting the text.
 
     Returns:
         Mapping of run label to event-log text, byte-identical to
@@ -189,7 +190,7 @@ def reassemble_feed(events: Iterable[StreamEvent]
         if expected is not None and seq != expected:
             raise StreamProtocolError(
                 f"gap in stream feed: expected seq {expected}, "
-                f"got {seq} (dropped frames; resume from "
+                f"got {seq} (missing frames; resume from "
                 f"{expected - 1})")
         expected = seq + 1
         ev = by_seq[seq]

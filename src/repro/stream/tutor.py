@@ -25,7 +25,6 @@ The lesson catalog is a plain name → description mapping
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -102,7 +101,6 @@ class LessonReport:
     name: str
     makespans: Dict[str, float]
     frames: int
-    dropped: int
     remote: bool
     lines: List[str] = field(default_factory=list)
 
@@ -135,15 +133,11 @@ def activity_cell(*, flag: str = DEFAULT_FLAG,
                      style=FillStyle.SCRIBBLE)
 
 
-def _collect_local(cell: SweepCell, seed: int
-                   ) -> Tuple[List[StreamEvent], int]:
-    """Run the trial in-process; returns (frames, dropped count)."""
+def _collect_local(cell: SweepCell, seed: int) -> List[StreamEvent]:
+    """Run the trial in-process; returns its whole feed."""
     task = make_task(cell, seed=seed, n_trials=1, trial=0)
     stream = RunStream(f"tutor-{cell.flag}-{seed}")
-    # The tutor keeps every frame anyway, so its queue may hold the
-    # whole feed: a burst the consumer thread sleeps through (the trial
-    # thread holds the interpreter lock) must not cost frames.
-    sub = stream.subscribe(max_queue=sys.maxsize)
+    sub = stream.subscribe()
 
     def work() -> None:
         try:
@@ -164,23 +158,20 @@ def _collect_local(cell: SweepCell, seed: int
         frames.extend(batch)
         done = any(f.terminal for f in batch)
     worker.join(timeout=10.0)
-    dropped = sub.dropped
     sub.close()
-    return frames, dropped
+    return frames
 
 
 def _collect_remote(cell: SweepCell, seed: int, serve: Tuple[str, int],
-                    token: Optional[str]
-                    ) -> Tuple[List[StreamEvent], int]:
-    """Subscribe to a remote serve endpoint; returns (frames, drops)."""
+                    token: Optional[str]) -> List[StreamEvent]:
+    """Subscribe to a remote serve endpoint; returns its whole feed."""
     from ..serve.client import ServeClient
     host, port = serve
     client = ServeClient(host, port, token=token)
     reply = client.run(flag=cell.flag, scenario=cell.scenario,
                        seed=seed, team_size=cell.team_size,
                        stream=True)
-    frames = list(client.stream(reply["stream"]))
-    return frames, 0
+    return list(client.stream(reply["stream"]))
 
 
 def _waiting_series(trace: Trace) -> List[float]:
@@ -278,9 +269,9 @@ def run_lesson(name: str, *, flag: str = DEFAULT_FLAG, seed: int = 7,
             f"unknown lesson {name!r}; one of {sorted(LESSONS)}")
     cell = activity_cell(flag=flag, team_size=team_size)
     if serve is None:
-        frames, dropped = _collect_local(cell, seed)
+        frames = _collect_local(cell, seed)
     else:
-        frames, dropped = _collect_remote(cell, seed, serve, token)
+        frames = _collect_remote(cell, seed, serve, token)
     for frame in frames:
         if frame.kind == "error":
             raise TutorError(
@@ -293,8 +284,7 @@ def run_lesson(name: str, *, flag: str = DEFAULT_FLAG, seed: int = 7,
     makespans = feed_makespans(frames)
 
     report = LessonReport(name=name, makespans=makespans,
-                          frames=len(frames), dropped=dropped,
-                          remote=serve is not None)
+                          frames=len(frames), remote=serve is not None)
 
     def emit(line: str) -> None:
         report.lines.append(line)
@@ -318,7 +308,4 @@ def run_lesson(name: str, *, flag: str = DEFAULT_FLAG, seed: int = 7,
         series = _waiting_series(focus)
         if series:
             emit(f"    agents waiting: {sparkline(series)}")
-    if dropped:
-        emit(f"  (note: {dropped} frames were dropped from a lagging "
-             f"local queue; narration used the replay history)")
     return report

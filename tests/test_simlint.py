@@ -180,7 +180,7 @@ class TestAsyncRules:
                        "async def h(q, item):\n"
                        "    await q.put(item)\n")
         assert [v[2] for v in out] == ["ASYNC003"]
-        assert "drop-oldest" in out[0][4]
+        assert "cursors" in out[0][4]
 
     def test_async003_ignores_sync_puts_and_other_awaits(self):
         # put_nowait on a bounded deque path and unrelated awaits are

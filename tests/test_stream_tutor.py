@@ -54,7 +54,6 @@ class TestLocalLessons:
         assert isinstance(speedup, LessonReport)
         assert speedup.name == "speedup"
         assert speedup.remote is False
-        assert speedup.dropped == 0
         assert set(speedup.makespans) == set(ACTIVITY_RUN_LABELS)
         assert speedup.frames > len(ACTIVITY_RUN_LABELS) * 2
 

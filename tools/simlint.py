@@ -25,8 +25,8 @@ ASYNC — event-loop safety (``repro/serve`` and ``repro/stream``):
   ASYNC003  ``await <queue>.put(...)`` inside an ``async def`` body —
             an awaited put either blocks the coroutine (bounded queue)
             or hides unbounded growth (infinite queue); the streaming
-            layer's contract is bounded per-subscriber buffers with
-            explicit drop-oldest accounting instead.
+            layer's contract is one shared feed history that each
+            subscriber reads through its own cursor instead.
 
 LOCK — thread lifecycle (the threaded ``repro`` subsystems: stream,
 store, fabric, serve).  Lock *discipline* (which attributes a lock
@@ -324,11 +324,12 @@ class AsyncQueuePutRule(Rule):
 
     ``await q.put(...)`` is how an ``asyncio.Queue`` applies
     backpressure — which is exactly what the streaming contract rules
-    out: a slow subscriber must *drop* (counted) rather than stall the
-    publisher, and an unbounded queue just defers the failure to
-    memory.  Fan-out buffers here are bounded deques with explicit
-    drop-oldest accounting (``repro.stream.bus``); anything else is a
-    design smell worth a loud flag.
+    out: a slow subscriber must never stall the publisher, and a
+    per-subscriber unbounded queue copies every frame once per
+    subscriber.  Fan-out here is one append-only feed history that
+    each subscriber reads through its own cursor
+    (``repro.stream.bus``); anything else is a design smell worth a
+    loud flag.
     """
 
     code = "ASYNC003"
@@ -346,8 +347,8 @@ class AsyncQueuePutRule(Rule):
                 out.append(self.violation(
                     path, node, symbol,
                     "await .put() stalls the publisher (bounded) or "
-                    "grows without limit (unbounded); use a bounded "
-                    "buffer with counted drop-oldest "
+                    "grows without limit (unbounded); publish to one "
+                    "shared history read by per-subscriber cursors "
                     "(repro.stream.bus)"))
         return out
 
