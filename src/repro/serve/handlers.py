@@ -295,6 +295,18 @@ class ServeHandlers:
                                   tenant=tenant))
         return tier
 
+    async def _tier_for(self, tenant: str) -> Optional[Any]:
+        """:meth:`_tier`, inline once the tenant's tier is built.
+
+        Only a tenant's first request builds its tier (an
+        ``ensure_tenant`` round trip), so only that one pays an
+        executor hop; later ones read the memo on the loop.
+        """
+        tier = self._tiers.get(tenant)
+        if tier is None:
+            tier = await self._offload(lambda: self._tier(tenant))
+        return tier
+
     async def _route(self, method: str, path: str, body: bytes,
                      headers: Dict[str, str]) -> Response:
         path, _, query_string = path.partition("?")
@@ -412,7 +424,7 @@ class ServeHandlers:
         timeout = request.timeout_s or self.default_timeout_s
         with self.admission.slot():
             address = request.address(backend=engine)
-            tier = await self._offload(lambda: self._tier(ctx.tenant))
+            tier = await self._tier_for(ctx.tenant)
             if tier is not None:
                 stored = await self._offload(lambda: tier.get(address))
                 if stored is not None:
@@ -484,7 +496,7 @@ class ServeHandlers:
         address = request.address(backend=engine)
         self.admission.acquire()  # released when the feed terminates
         try:
-            tier = await self._offload(lambda: self._tier(ctx.tenant))
+            tier = await self._tier_for(ctx.tenant)
             stored = None
             if tier is not None:
                 stored = await self._offload(lambda: tier.get(address))
@@ -612,7 +624,7 @@ class ServeHandlers:
         timeout = request.timeout_s or self.default_timeout_s
         with self.admission.slot():
             from ..sweep.executor import run_sweep
-            tier = await self._offload(lambda: self._tier(ctx.tenant))
+            tier = await self._tier_for(ctx.tenant)
             loop = asyncio.get_running_loop()
             try:
                 result = await asyncio.wait_for(

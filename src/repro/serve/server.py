@@ -277,9 +277,8 @@ class ServeServer:
                 wake.clear()
                 frames = sub.pop_ready()
                 while frames:
-                    for frame in frames:
-                        writer.write(encode_sse(frame))
-                        last_seq = frame.seq
+                    writer.write(b"".join(map(encode_sse, frames)))
+                    last_seq = frames[-1].seq
                     await writer.drain()
                     if frames[-1].terminal:
                         return

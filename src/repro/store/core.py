@@ -26,8 +26,15 @@ Design commitments:
 
 The store serializes access with one process-wide lock per instance
 (SQLite connections are cheap to share, and the serve layer calls in
-from an event loop plus executor threads), and commits after every
-write — restart the process and nothing is lost.
+from an event loop plus executor threads).  The database runs in WAL
+mode with ``synchronous = NORMAL``: every write commits before its call
+returns, so a crashed or killed process loses nothing, but a power loss
+or OS crash may roll back the last few commits (never corrupt the
+file).  Token writes (:meth:`ResultStore.issue_token`,
+:meth:`ResultStore.revoke_token`) commit with ``synchronous = FULL``,
+so a revocation survives power loss too.  A hit's ``accessed_at`` /
+``hits`` stamps are kept in memory and written by the next write
+transaction, before any listing reads them, and on :meth:`close`.
 """
 
 from __future__ import annotations
@@ -135,17 +142,33 @@ class ResultStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
         self._lock = threading.RLock()
+        # Memos, all guarded by ``_lock``.  The head check only ever
+        # passes once (schemas migrate up, never down); tenants are
+        # never renamed or deleted, so a resolved path <-> id pair
+        # stays true (misses are not cached: another process may
+        # create the tenant).  Token verdicts are never memoised.
+        self._at_head = False
+        self._tenant_ids: Dict[str, int] = {}
+        self._tenant_paths: Dict[int, str] = {}
+        # Hit stamps not yet written: (tenant_id, digest) ->
+        # [accessed_at, hits].  One entry per stored digest at most.
+        self._stamps: Dict[Tuple[int, str], List[Any]] = {}
         self._conn = sqlite3.connect(str(self.path),
                                      check_same_thread=False)
         self._conn.execute("PRAGMA foreign_keys = ON")
+        self._conn.execute("PRAGMA journal_mode = WAL")
+        self._conn.execute("PRAGMA synchronous = NORMAL")
         if migrate:
             self.migrate()
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Close the underlying connection (further calls will fail)."""
+        """Write pending hit stamps and close the connection (further
+        calls will fail)."""
         with self._lock:
+            with self._conn:
+                self._flush_stamps()
             self._conn.close()
 
     def __enter__(self) -> "ResultStore":
@@ -172,11 +195,14 @@ class ResultStore:
         return [f"{m.version}:{m.name}" for m in applied]
 
     def _require_head(self) -> None:
+        if self._at_head:
+            return
         version = schema_version(self._conn)
         if version < HEAD_VERSION:
             raise StoreError(
                 f"store schema is at version {version}, head is "
                 f"{HEAD_VERSION}; run `repro store migrate` first")
+        self._at_head = True
 
     # -- tenants ---------------------------------------------------------
 
@@ -234,6 +260,9 @@ class ResultStore:
                           path="/".join(parts))
 
     def _tenant_id(self, path: str) -> int:
+        cached = self._tenant_ids.get(path)
+        if cached is not None:
+            return cached
         parent_id: Optional[int] = None
         tenant_id: Optional[int] = None
         for name in [p for p in path.split("/") if p]:
@@ -246,9 +275,13 @@ class ResultStore:
             parent_id = tenant_id
         if tenant_id is None:
             raise StoreError(f"empty tenant path {path!r}")
+        self._tenant_ids[path] = tenant_id
         return tenant_id
 
     def _tenant_path(self, tenant_id: int) -> str:
+        cached = self._tenant_paths.get(tenant_id)
+        if cached is not None:
+            return cached
         parts: List[str] = []
         current: Optional[int] = tenant_id
         while current is not None:
@@ -259,7 +292,8 @@ class ResultStore:
                 break
             parts.append(str(row[0]))
             current = row[1] if row[1] is None else int(row[1])
-        return "/".join(reversed(parts))
+        path = self._tenant_paths[tenant_id] = "/".join(reversed(parts))
+        return path
 
     def tenants(self) -> List[Dict[str, Any]]:
         """Every tenant with its usage and quota, sorted by path.
@@ -270,6 +304,8 @@ class ResultStore:
         """
         with self._lock:
             self._require_head()
+            with self._conn:
+                self._flush_stamps()
             out = []
             for row in self._conn.execute(
                     "SELECT id, kind FROM tenants").fetchall():
@@ -336,13 +372,12 @@ class ResultStore:
         with self._lock:
             tenant_id = self._tenant_id(tenant)
             try:
-                with self._conn:
-                    self._conn.execute(
-                        "INSERT INTO tokens "
-                        "(token_hash, tenant_id, label, revoked, "
-                        " created_at, expires_at) VALUES (?, ?, ?, 0, ?, ?)",
-                        (token_hash(token), tenant_id, label,
-                         self._clock(), expires_at))
+                self._write_durably(
+                    "INSERT INTO tokens "
+                    "(token_hash, tenant_id, label, revoked, "
+                    " created_at, expires_at) VALUES (?, ?, ?, 0, ?, ?)",
+                    (token_hash(token), tenant_id, label,
+                     self._clock(), expires_at))
             except sqlite3.IntegrityError:
                 raise StoreError(
                     "refusing to re-issue an already-known token "
@@ -353,14 +388,30 @@ class ResultStore:
     def revoke_token(self, token: str) -> bool:
         """Revoke a token by plaintext; returns whether it existed."""
         with self._lock:
-            with self._conn:
-                cursor = self._conn.execute(
-                    "UPDATE tokens SET revoked = 1 WHERE token_hash = ?",
-                    (token_hash(token),))
+            cursor = self._write_durably(
+                "UPDATE tokens SET revoked = 1 WHERE token_hash = ?",
+                (token_hash(token),))
             return cursor.rowcount > 0
+
+    def _write_durably(self, sql: str, params: Tuple[Any, ...]
+                       ) -> sqlite3.Cursor:
+        """One statement in its own transaction, committed under
+        ``synchronous = FULL`` so it survives power loss, not only a
+        crash (the pragma cannot change inside a transaction)."""
+        self._conn.execute("PRAGMA synchronous = FULL")
+        try:
+            with self._conn:
+                return self._conn.execute(sql, params)
+        finally:
+            self._conn.execute("PRAGMA synchronous = NORMAL")
 
     def authenticate(self, token: str) -> Tenant:
         """The tenant a plaintext token authenticates as.
+
+        One ``tokens JOIN tenants`` lookup per call: the revoked and
+        expired checks always read the current row, so a revocation
+        made through any connection to the file refuses the token at
+        once.
 
         Raises:
             AuthError: ``reason="unknown"`` for a token the store never
@@ -371,8 +422,12 @@ class ResultStore:
         with self._lock:
             self._require_head()
             row = self._conn.execute(
-                "SELECT tenant_id, revoked, expires_at FROM tokens "
-                "WHERE token_hash = ?", (token_hash(token),)).fetchone()
+                "SELECT tokens.tenant_id, tokens.revoked, "
+                "tokens.expires_at, tenants.name, tenants.kind, "
+                "tenants.parent_id FROM tokens JOIN tenants "
+                "ON tenants.id = tokens.tenant_id "
+                "WHERE tokens.token_hash = ?",
+                (token_hash(token),)).fetchone()
             if row is None:
                 raise AuthError("unknown token", reason="unknown")
             if int(row[1]):
@@ -381,13 +436,10 @@ class ResultStore:
             if row[2] is not None and self._clock() >= float(row[2]):
                 raise AuthError("token has expired", reason="expired")
             tenant_id = int(row[0])
-            trow = self._conn.execute(
-                "SELECT name, kind, parent_id FROM tenants WHERE id = ?",
-                (tenant_id,)).fetchone()
-            return Tenant(id=tenant_id, name=str(trow[0]),
-                          kind=str(trow[1]),
-                          parent_id=None if trow[2] is None
-                          else int(trow[2]),
+            return Tenant(id=tenant_id, name=str(row[3]),
+                          kind=str(row[4]),
+                          parent_id=None if row[5] is None
+                          else int(row[5]),
                           path=self._tenant_path(tenant_id))
 
     # -- quotas ----------------------------------------------------------
@@ -522,6 +574,7 @@ class ResultStore:
                         "VALUES (?, ?, ?, ?, ?, ?, NULL, 0)",
                         (digest, tenant_id, kind, text, len(text),
                          self._clock()))
+                self._flush_stamps()
             except BaseException:
                 self._conn.rollback()
                 raise
@@ -531,8 +584,9 @@ class ResultStore:
                    tenant: str = DEFAULT_TENANT) -> Optional[Dict[str, Any]]:
         """The payload stored for a digest, or ``None`` on a miss.
 
-        A hit stamps ``accessed_at`` and bumps ``hits`` so ``gc`` and
-        operators can see what is live.
+        A hit stamps ``accessed_at`` and bumps ``hits`` so operators
+        can see what is live.  The stamp is kept in memory, so a hit
+        writes nothing; :meth:`_flush_stamps` persists it later.
         """
         with self._lock:
             self._require_head()
@@ -546,12 +600,28 @@ class ResultStore:
                 (tenant_id, digest)).fetchone()
             if row is None:
                 return None
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE results SET accessed_at = ?, hits = hits + 1 "
-                    "WHERE tenant_id = ? AND digest = ?",
-                    (self._clock(), tenant_id, digest))
-            return json.loads(row[0])
+            stamp = self._stamps.setdefault((tenant_id, digest), [0.0, 0])
+            stamp[0] = self._clock()
+            stamp[1] += 1
+        return json.loads(row[0])
+
+    def _flush_stamps(self) -> None:
+        """Write the pending hit stamps inside the caller's transaction.
+
+        Called under the lock by every writer of ``results`` before its
+        commit, by :meth:`results` and :meth:`tenants` before they
+        read, and by :meth:`close`.  A row deleted meanwhile (another
+        process's ``gc``) just takes no update.
+        """
+        with self._lock:  # re-entered: every caller already holds it
+            if not self._stamps:
+                return
+            self._conn.executemany(
+                "UPDATE results SET accessed_at = ?, hits = hits + ? "
+                "WHERE tenant_id = ? AND digest = ?",
+                [(at, n, tenant_id, digest)
+                 for (tenant_id, digest), (at, n) in self._stamps.items()])
+            self._stamps.clear()
 
     def results(self, *, tenant: Optional[str] = None,
                 limit: Optional[int] = None,
@@ -578,6 +648,8 @@ class ResultStore:
         """
         with self._lock:
             self._require_head()
+            with self._conn:
+                self._flush_stamps()
             where: List[str] = []
             params: List[Any] = []
             if tenant is not None:
@@ -632,6 +704,8 @@ class ResultStore:
         deleted = 0
         with self._lock:
             self._require_head()
+            with self._conn:
+                self._flush_stamps()
             tenant_ids: List[int]
             if tenant is not None:
                 tenant_ids = [self._tenant_id(tenant)]

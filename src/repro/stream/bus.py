@@ -6,9 +6,12 @@ are SSE connections on the serve event loop, tutor renderers, or
 tests.  The contract, in priority order:
 
 1. **Publishing never blocks and never fails.**  The engine must not
-   notice observers; a slow or stuck subscriber costs it nothing but
-   one wake call per frame.  Publish appends under a lock and wakes
-   every subscriber after releasing it.
+   notice observers.  Wakes are edge-triggered: a publish wakes only
+   the subscribers that have caught up (popped to the end of the
+   history) since their last wake, deciding under the stream lock and
+   calling the wakers after releasing it.  So a subscriber costs the
+   publisher one wake per catch-up, not one per frame, and a slow or
+   stuck one costs it one wake in all.
 2. **Every subscriber reads the one history, without gaps.**  The
    stream retains its full envelope history (runs are finite; a trial
    is a few thousand frames), and a :class:`Subscription` is nothing
@@ -53,7 +56,10 @@ class Subscription:
         self._event = threading.Event()
         self._wakers: List[Callable[[], None]] = []
         self._detached = False
-        if after < stream.last_seq or stream.finished:
+        # Armed: woken and not yet caught up, so publish skips it.
+        # Set by publish and cleared by pop_ready, under the stream lock.
+        self._armed = after < stream.last_seq or stream.finished
+        if self._armed:
             self._event.set()  # backlog (or the terminal) is waiting
 
     def _wake(self) -> None:
@@ -63,7 +69,14 @@ class Subscription:
 
     # -- consumer side -----------------------------------------------------
     def add_waker(self, waker: Callable[[], None]) -> None:
-        """Register a thread-safe callback fired on every publish."""
+        """Register a thread-safe callback fired once per catch-up.
+
+        It fires on the first publish after :meth:`pop_ready` reached
+        the end of the history, not on every frame: a consumer must
+        pop until it gets an empty (or short) batch before sleeping,
+        and must pop once after registering, since frames published
+        before that may already have spent the wake.
+        """
         with self._stream._lock:
             self._wakers.append(waker)
 
@@ -71,13 +84,15 @@ class Subscription:
         """The frames past the cursor, oldest first; advances it.
 
         At most ``max_frames`` are returned per call so one huge backlog
-        cannot monopolize a writer loop.
+        cannot monopolize a writer loop.  Reaching the end of the
+        history disarms the subscription: the next publish wakes it.
         """
         with self._stream._lock:
             history = self._stream._history
             out = history[self._cursor:self._cursor + max_frames]
             self._cursor += len(out)
             if self._cursor >= len(history):
+                self._armed = False
                 self._event.clear()
         return out
 
@@ -122,7 +137,9 @@ class RunStream:
 
     def publish(self, kind: str, *, run: Optional[str], time: float,
                 data: Optional[Dict[str, Any]] = None) -> StreamEvent:
-        """Append one frame and wake every subscriber.  Never blocks.
+        """Append one frame and wake the caught-up subscribers.
+
+        Never blocks.
 
         Raises:
             StreamClosed: when the stream already carried a terminal
@@ -138,7 +155,9 @@ class RunStream:
             self._history.append(event)
             if event.terminal:
                 self._finished = True
-            wake = list(self._subs)
+            wake = [sub for sub in self._subs if not sub._armed]
+            for sub in wake:
+                sub._armed = True
         if self._published is not None:
             self._published.inc()
         for sub in wake:

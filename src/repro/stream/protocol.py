@@ -36,7 +36,9 @@ original ``seq``, and :func:`reassemble_feed` deduplicates on it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..canonical import canonical_json
@@ -126,7 +128,28 @@ def loads_frame(text: str) -> StreamEvent:
 
 
 def encode_sse(event: StreamEvent) -> bytes:
-    """One envelope as a Server-Sent-Events frame (``id`` + ``data``)."""
+    """One envelope as a Server-Sent-Events frame (``id`` + ``data``).
+
+    The bytes are ``f"id: {seq}\\ndata: {dumps_frame(event)}\\n\\n"``.
+    Engine event frames (nearly every frame of a feed) of the exact
+    shape the stream observer publishes skip the generic encoder: one
+    template writes the envelope's keys in sorted order, strings
+    through ``json``'s own ASCII escaper and the time through
+    ``float.__repr__``, as :func:`~repro.canonical.canonical_json`
+    does.  Any other kind, key set or field type takes
+    :func:`dumps_frame`.
+    """
+    data = event.data
+    if event.kind == "event" and type(data) is dict and len(data) == 1:
+        line, seq, time, run = (data.get("line"), event.seq, event.time,
+                                event.run)
+        if (type(line) is str and type(run) is str and type(seq) is int
+                and type(time) is float and math.isfinite(time)):
+            return (f'id: {seq!r}\ndata: {{"data":{{"line":{_quote(line)}}},'
+                    f'"kind":"event","run":{_quote(run)},"seq":{seq!r},'
+                    f'"time":{float.__repr__(time)},'
+                    f'"v":{STREAM_PROTOCOL_VERSION!r}}}\n\n'
+                    ).encode("ascii")
     return (f"id: {event.seq}\ndata: {dumps_frame(event)}\n\n"
             .encode("utf-8"))
 

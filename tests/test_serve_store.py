@@ -312,3 +312,62 @@ class TestDurability:
             again = bg.client().run(**fields)
         assert again["cached"] is True
         assert canon(again["trial"]) == canon(first["trial"])
+
+
+class TestStatementCounts:
+    """What one authenticated ``/run`` asks of SQLite, counted through
+    the connection's trace callback (counts, not clocks)."""
+
+    def test_cold_and_cache_hit_runs(self, tmp_path):
+        db = tmp_path / "store.db"
+        with ResultStore(db) as store:
+            store.ensure_tenant("usi/cs1")
+            store.issue_token("usi/cs1", token=TOKENS["usi"])
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"),
+                             store_path=str(db), require_token=True)
+        with BackgroundServer(config) as bg:
+            client = bg.client(token=TOKENS["usi"])
+            # The tenant's first request builds its tier and fills the
+            # store's head and tenant memos.
+            client.run(flag="poland", scenario=3, seed=80)
+            conn = bg.server.handlers.store._conn
+            statements = []
+            conn.set_trace_callback(statements.append)
+            try:
+                cold = client.run(flag="poland", scenario=3, seed=81)
+                cold_statements = list(statements)
+                statements.clear()
+                hit = client.run(flag="poland", scenario=3, seed=81)
+                hit_statements = list(statements)
+            finally:
+                conn.set_trace_callback(None)
+        assert cold["cached"] is False and hit["cached"] is True
+        assert len(cold_statements) <= 8, cold_statements
+        assert sum("INSERT INTO results" in sql
+                   for sql in cold_statements) == 1
+        # A cache hit never reaches the store beyond the token check.
+        (auth,) = hit_statements
+        assert auth.startswith("SELECT") and "FROM tokens" in auth
+
+    def test_only_a_tenants_first_run_builds_its_tier(self, tmp_path,
+                                                      monkeypatch):
+        db = tmp_path / "store.db"
+        with ResultStore(db) as store:
+            store.ensure_tenant("usi/cs1")
+            store.issue_token("usi/cs1", token=TOKENS["usi"])
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"),
+                             store_path=str(db), require_token=True)
+        with BackgroundServer(config) as bg:
+            handlers = bg.server.handlers
+            builds = []
+            tier = handlers._tier
+            monkeypatch.setattr(handlers, "_tier",
+                                lambda tenant: builds.append(tenant)
+                                or tier(tenant))
+            client = bg.client(token=TOKENS["usi"])
+            client.run(flag="poland", scenario=3, seed=82)
+            client.run(flag="poland", scenario=3, seed=83)
+            reply = client.run(flag="poland", scenario=3, seed=84,
+                               stream=True)
+            assert list(client.stream(reply["stream"]))[-1].kind == "end"
+        assert builds == ["usi/cs1"]

@@ -503,6 +503,115 @@ class TestTokenExpiry:
             assert err.value.reason == "revoked"
 
 
+class TestDurabilityAndStatements:
+    """WAL with ``synchronous = NORMAL``, token writes under ``FULL``,
+    hits that write nothing, and memos that never cache a verdict.
+    Counted through the connection's trace callback, never timed."""
+
+    def test_file_store_runs_in_wal_mode(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            (mode,) = store._conn.execute("PRAGMA journal_mode").fetchone()
+            (sync,) = store._conn.execute("PRAGMA synchronous").fetchone()
+        assert mode == "wal"
+        assert sync == 1  # NORMAL
+
+    def test_revocation_through_one_store_refuses_at_once_in_another(
+            self, tmp_path):
+        db = tmp_path / "s.db"
+        with ResultStore(db) as a, ResultStore(db) as b:
+            a.ensure_tenant("usi")
+            token = a.issue_token("usi")
+            assert b.authenticate(token).path == "usi"
+            assert a.revoke_token(token)
+            with pytest.raises(AuthError) as err:
+                b.authenticate(token)
+            assert err.value.reason == "revoked"
+
+    def test_token_writes_commit_under_full_sync(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            store.ensure_tenant("usi")
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            token = store.issue_token("usi")
+            store.revoke_token(token)
+            store._conn.set_trace_callback(None)
+            (sync,) = store._conn.execute("PRAGMA synchronous").fetchone()
+        assert sync == 1  # back to NORMAL for everything else
+        writes = [i for i, sql in enumerate(statements)
+                  if sql.startswith(("INSERT INTO tokens", "UPDATE tokens"))]
+        assert len(writes) == 2
+        for i in writes:
+            before = [sql for sql in statements[:i] if "synchronous" in sql]
+            commit = statements.index("COMMIT", i)
+            after = [sql for sql in statements[i:commit]
+                     if "synchronous" in sql]
+            assert before[-1] == "PRAGMA synchronous = FULL"
+            assert after == []
+
+    def test_a_hit_writes_nothing_until_the_next_write(self, tmp_path):
+        db = tmp_path / "s.db"
+        with ResultStore(db) as store, ResultStore(db) as other:
+            store.ensure_tenant("usi")
+            store.put_result("d", {"v": 1}, tenant="usi")
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            assert store.get_result("d", tenant="usi") == {"v": 1}
+            assert store.get_result("d", tenant="usi") == {"v": 1}
+            assert all(sql.startswith("SELECT") for sql in statements)
+            assert len(statements) == 2
+            assert other.results()[0]["hits"] == 0   # still in memory
+            store.put_result("e", {"v": 2}, tenant="usi")
+            hits = {r["digest"]: r["hits"] for r in other.results()}
+            assert hits == {"d": 2, "e": 0}
+
+    def test_close_flushes_pending_hits(self, tmp_path):
+        db = tmp_path / "s.db"
+        with ResultStore(db) as store:
+            store.ensure_tenant("usi")
+            store.put_result("d", {"v": 1}, tenant="usi")
+            store.get_result("d", tenant="usi")
+        with ResultStore(db) as store:
+            assert store.results()[0]["hits"] == 1
+
+    def test_failed_put_keeps_pending_hits(self, tmp_path):
+        with ResultStore(tmp_path / "s.db") as store:
+            store.ensure_tenant("usi")
+            store.put_result("d", {"v": 1}, tenant="usi")
+            store.get_result("d", tenant="usi")
+            store.set_quota("usi", max_results=1)
+            with pytest.raises(QuotaExceeded):
+                store.put_result("e", {"v": 2}, tenant="usi")
+            assert store.results()[0]["hits"] == 1
+
+    def test_warm_store_statements(self, tmp_path):
+        # After the first lookups fill the head and tenant memos, an
+        # authenticated miss-then-put costs one SELECT to authenticate,
+        # one to miss, and a five-statement write transaction.
+        with ResultStore(tmp_path / "s.db") as store:
+            store.ensure_tenant("usi/cs1")
+            token = store.issue_token("usi/cs1")
+            store.authenticate(token)
+            store.put_result("warm", {"v": 0}, tenant="usi/cs1")
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            assert store.authenticate(token).path == "usi/cs1"
+            assert store.get_result("d", tenant="usi/cs1") is None
+            store.put_result("d", {"v": 1}, tenant="usi/cs1")
+        assert len(statements) == 7, statements
+        assert "JOIN tenants" in statements[0]
+        assert statements[2] == "BEGIN IMMEDIATE"
+        assert statements[-1] == "COMMIT"
+
+    def test_tenant_misses_are_not_memoised(self, tmp_path):
+        # Another connection may create the tenant after a miss.
+        db = tmp_path / "s.db"
+        with ResultStore(db) as a, ResultStore(db) as b:
+            assert a.get_result("d", tenant="late") is None
+            b.ensure_tenant("late")
+            b.put_result("d", {"v": 1}, tenant="late")
+            assert a.get_result("d", tenant="late") == {"v": 1}
+
+
 class TestResultsPagination:
     def seed_results(self, store, clock, n=7):
         store.ensure_tenant("usi")

@@ -85,13 +85,70 @@ class TestPublishSubscribe:
         assert [ev.seq for ev in frames] == [1, 2, 3, 4]
         assert frames[-1].terminal
 
-    def test_waker_fires_on_publish(self):
+    def test_waker_fires_once_per_catch_up(self):
+        # Edge-triggered: the first publish arms the subscriber, and
+        # later ones skip it until it pops to the end of the history.
         stream = RunStream("t")
         sub = stream.subscribe()
         calls = []
         sub.add_waker(lambda: calls.append(1))
         publish_n(stream, 3)
-        assert len(calls) == 3
+        assert len(calls) == 1
+        assert sub.wait(0.0)
+
+    def test_pop_to_the_end_rearms_the_waker(self):
+        stream = RunStream("t")
+        sub = stream.subscribe()
+        calls = []
+        sub.add_waker(lambda: calls.append(1))
+        publish_n(stream, 3)
+        assert [ev.seq for ev in sub.pop_ready()] == [1, 2, 3]
+        assert not sub.wait(0.0)             # caught up: disarmed
+        publish_n(stream, 1)
+        assert len(calls) == 2
+        assert sub.wait(0.0)
+
+    def test_partial_pop_stays_armed(self):
+        # A pop capped short of the end leaves the backlog signalled
+        # and publishes keep skipping the waker.
+        stream = RunStream("t")
+        sub = stream.subscribe()
+        calls = []
+        sub.add_waker(lambda: calls.append(1))
+        publish_n(stream, 5)
+        assert [ev.seq for ev in sub.pop_ready(max_frames=2)] == [1, 2]
+        assert sub.wait(0.0)
+        publish_n(stream, 1)
+        assert len(calls) == 1
+        assert [ev.seq for ev in sub.pop_ready()] == [3, 4, 5, 6]
+        assert not sub.wait(0.0)
+
+    def test_threaded_consumer_never_sleeps_with_a_backlog(self):
+        # A publisher thread races a consumer that only pops after a
+        # wait.  A lost wake would strand frames behind a cleared
+        # event; the timeout exists only to turn that hang into a
+        # failure.  Small pops keep the consumer switching between
+        # partial and full catch-ups.
+        n = 5000
+        stream = RunStream("t")
+        sub = stream.subscribe()
+        seen = []
+        stranded = []
+
+        def consume():
+            while len(seen) < n:
+                if not sub.wait(10.0):
+                    stranded.append(stream.last_seq - len(seen))
+                    return
+                seen.extend(ev.seq for ev in sub.pop_ready(max_frames=7))
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        publish_n(stream, n)
+        consumer.join(timeout=30.0)
+        assert not consumer.is_alive()
+        assert stranded == []
+        assert seen == list(range(1, n + 1))
 
 
 class TestOverflow:

@@ -7,9 +7,13 @@ framing that round-trips through a line decoder, and
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.stream import protocol
 from repro.stream import (
     FRAME_KINDS,
     STREAM_PROTOCOL_VERSION,
@@ -105,6 +109,84 @@ class TestSseFraming:
         # A feed cut before its final blank line still yields the frame.
         raw = encode_sse(frame(1)).decode("utf-8").rstrip("\n")
         assert list(decode_sse_lines(raw.split("\n"))) == [frame(1)]
+
+
+def reference_sse(event):
+    """The SSE bytes as the generic encoder writes them."""
+    return f"id: {event.seq}\ndata: {dumps_frame(event)}\n\n".encode()
+
+
+awkward_text = st.one_of(
+    st.text(alphabet=st.sampled_from(
+        list('az"\\/\x00\x07\x1f\x7f\u2028é 日\U0001F3F3 '))),
+    st.text(max_size=8),
+)
+finite_times = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1e16, 1e-7, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def event_frames(draw):
+    """An ``event`` frame of the exact shape the SSE template writes."""
+    return StreamEvent(seq=draw(st.integers(0, 2 ** 70)),
+                       time=draw(finite_times), kind="event",
+                       run=draw(awkward_text),
+                       data={"line": draw(awkward_text)})
+
+
+class TestSseTemplate:
+    """``encode_sse`` writes event frames from one template; the bytes
+    must equal the generic ``dumps_frame`` path on every input."""
+
+    @pytest.fixture
+    def generic_calls(self, monkeypatch):
+        calls = []
+        real = protocol.dumps_frame
+
+        def counting(event):
+            calls.append(event)
+            return real(event)
+
+        monkeypatch.setattr(protocol, "dumps_frame", counting)
+        return calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_frames())
+    def test_template_bytes_equal_the_generic_encoder(self, event):
+        assert encode_sse(event) == reference_sse(event)
+
+    def test_template_shape_skips_the_generic_encoder(self, generic_calls):
+        event = StreamEvent(seq=3, time=1.25, kind="event", run="s3",
+                            data={"line": '{"a": "\u00e9"}'})
+        expected = reference_sse(event)
+        generic_calls.clear()
+        assert encode_sse(event) == expected
+        assert generic_calls == []
+
+    @pytest.mark.parametrize("change", [
+        {"time": 2},
+        {"time": math.nan},
+        {"time": math.inf},
+        {"time": -math.inf},
+        {"run": None},
+        {"seq": True},
+        {"kind": "run_end"},
+        {"data": {"line": "x", "extra": 1}},
+        {"data": {"line": 7}},
+        {"data": {"text": "x"}},
+        {"data": {}},
+    ], ids=lambda change: repr(change))
+    def test_other_shapes_take_the_generic_path(self, change,
+                                                 generic_calls):
+        fields = dict(seq=9, time=0.5, kind="event", run="scenario3",
+                      data={"line": "x"})
+        fields.update(change)
+        event = StreamEvent(**fields)
+        expected = reference_sse(event)
+        generic_calls.clear()
+        assert encode_sse(event) == expected
+        assert generic_calls == [event]
 
 
 class TestReassembly:

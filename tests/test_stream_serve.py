@@ -419,3 +419,51 @@ class TestStreamedAdmission:
             after = client.run(flag="poland", scenario=3, seed=73)
             assert "scenario3" in after["trial"]["runs"]
         assert saw_429
+
+
+class TestWakeCount:
+    def test_feed_wakes_its_writer_per_catch_up_not_per_frame(
+            self, tmp_path, monkeypatch):
+        # The engine is held at its first publish until the SSE writer
+        # has attached, so the whole feed is published live against a
+        # watching subscriber.  Wakes are edge-triggered: the writer
+        # is woken once each time it has caught up, never per frame.
+        from repro.stream import bus
+        wakes = []
+        attached = threading.Event()
+        add_waker = bus.Subscription.add_waker
+
+        def counting_add_waker(sub, waker):
+            def counted():
+                wakes.append(1)
+                waker()
+            add_waker(sub, counted)
+            attached.set()
+
+        monkeypatch.setattr(bus.Subscription, "add_waker",
+                            counting_add_waker)
+        config = ServeConfig(cache_dir=str(tmp_path / "cache"))
+        with BackgroundServer(config) as bg:
+            hub = bg.server.handlers.hub
+            create = hub.create
+
+            def create_gated(token):
+                stream = create(token)
+                publish = stream.publish
+
+                def gated_publish(*args, **kwargs):
+                    attached.wait(10.0)
+                    return publish(*args, **kwargs)
+
+                stream.publish = gated_publish
+                return stream
+
+            hub.create = create_gated
+            client = bg.client()
+            reply = client.run(flag="poland", scenario=0, seed=74,
+                               stream=True)
+            frames = list(client.stream(reply["stream"]))
+        assert attached.is_set()
+        assert frames[-1].kind == "end"
+        assert len(frames) > 1000
+        assert 1 <= len(wakes) <= len(frames) // 10
