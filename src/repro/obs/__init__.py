@@ -39,8 +39,7 @@ from .chrome import (
     to_chrome_trace,
 )
 from .summary import ObsSummary
-from .observer import NullObserver, Observer, RunObserver, \
-    TeeObserver
+from .observer import NullObserver, Observer, RunObserver
 
 __all__ = [
     "Span",
@@ -64,5 +63,4 @@ __all__ = [
     "NullObserver",
     "Observer",
     "RunObserver",
-    "TeeObserver",
 ]

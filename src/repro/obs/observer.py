@@ -73,60 +73,6 @@ class NullObserver(Observer):
     but lets call sites keep a non-optional reference)."""
 
 
-class TeeObserver(Observer):
-    """Fan one engine's hook stream out to several observers.
-
-    The engine supports exactly one attached observer; a tee lets a
-    run feed independent taps at once — e.g. a
-    :class:`RunObserver` building the obs digest *and* a
-    ``repro.stream`` publisher pushing live frames.  Hooks are relayed
-    in construction order; ``None`` entries are skipped so call sites
-    can compose optional taps without branching.
-    """
-
-    def __init__(self, *observers: Optional[Observer]) -> None:
-        self.observers: Tuple[Observer, ...] = tuple(
-            o for o in observers if o is not None)
-
-    def find(self, cls: type) -> Optional[Observer]:
-        """The first tee'd observer of ``cls``, or None."""
-        for obs in self.observers:
-            if isinstance(obs, cls):
-                return obs
-        return None
-
-    def on_run_start(self, sim: "Simulator") -> None:
-        """Relay the run-start hook to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_run_start(sim)
-
-    def on_run_end(self, sim: "Simulator", makespan: float) -> None:
-        """Relay the run-end hook to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_run_end(sim, makespan)
-
-    def on_event(self, event: Event) -> None:
-        """Relay one engine event to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_event(event)
-
-    def on_dispatch_start(self, process: str, time: float) -> None:
-        """Relay the dispatch-start hook to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_dispatch_start(process, time)
-
-    def on_dispatch_end(self, process: str, time: float) -> None:
-        """Relay the dispatch-end hook to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_dispatch_end(process, time)
-
-    def on_recovery(self, action: str, start: float, end: float,
-                    **tags: Any) -> None:
-        """Relay a recovery-window hook to every tee'd observer."""
-        for obs in self.observers:
-            obs.on_recovery(action, start, end, **tags)
-
-
 class RunObserver(Observer):
     """Spans + metrics + profiling for one simulated run.
 

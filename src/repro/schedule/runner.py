@@ -427,11 +427,7 @@ def run_partition(
     if observer is not None:
         # Imported lazily for the same reason the faults path is: clean
         # unobserved runs never touch the obs package.
-        from ..obs.observer import RunObserver, TeeObserver
-        if isinstance(observer, TeeObserver):
-            # A tee may carry a RunObserver among other taps; the obs
-            # digest comes from that one, same as a bare attachment.
-            observer = observer.find(RunObserver)
+        from ..obs.observer import RunObserver
         if isinstance(observer, RunObserver):
             obs_summary = observer.summary()
     return RunResult(

@@ -35,11 +35,12 @@ tenant is a 403 ``tenant_forbidden``.
 
 ``POST /run`` with ``stream: true`` forks the flow at step 5: instead
 of a buffered trial payload the response carries an unguessable
-*stream token*, the trial executes (or cache-replays) in the
-background publishing onto a :class:`~repro.stream.bus.RunStream`,
-and ``GET /stream?run=<token>`` subscribes to the live SSE feed —
-capability-authorized by the token itself.  Vector-backend requests
-cannot stream (no event traces) and get 422 ``stream_unsupported``.
+*stream token*; in the background a miss runs steps 6-7 without the
+deadline, and the payload's archived event log is replayed onto a
+:class:`~repro.stream.bus.RunStream`.  ``GET /stream?run=<token>``
+subscribes to that SSE feed — capability-authorized by the token
+itself.  Vector-backend requests cannot stream (no event traces) and
+get 422 ``stream_unsupported``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from ..stream import (
     fail_stream,
     finish_stream,
     replay_payload,
-    run_streamed_trial,
 )
 from ..sweep.cache import ResultCache
 from .admission import AdmissionFull, AdmissionQueue
@@ -442,21 +442,26 @@ class ServeHandlers:
                               "trials": [payload]}))
             return 200, run_response(payload, cached=False), {}
 
-    async def _compute(self, task: Dict[str, Any], timeout: float,
-                       hint: str = "") -> Dict[str, Any]:
-        """Run one buffered trial on the compute executor, under a deadline.
+    def _submit(self, task: Dict[str, Any]) -> "asyncio.Future":
+        """Queue one trial on the compute executor.
 
-        The executor is one thread at ``workers=0``, so buffered trials
-        run one at a time instead of interleaving under the interpreter
-        lock; with ``workers > 0`` it is the process pool.  A timed-out
-        trial keeps computing; only its waiter gives up.
+        The executor is one thread at ``workers=0``, so trials run one
+        at a time instead of interleaving under the interpreter lock;
+        with ``workers > 0`` it is the process pool.  Buffered and
+        streamed trials share it.
         """
         from ..sweep.executor import run_trial
-        loop = asyncio.get_running_loop()
+        return asyncio.get_running_loop().run_in_executor(
+            self.executor, run_trial, task)
+
+    async def _compute(self, task: Dict[str, Any], timeout: float,
+                       hint: str = "") -> Dict[str, Any]:
+        """Run one buffered trial via :meth:`_submit`, under a deadline.
+
+        A timed-out trial keeps computing; only its waiter gives up.
+        """
         try:
-            return await asyncio.wait_for(
-                loop.run_in_executor(self.executor, run_trial, task),
-                timeout)
+            return await asyncio.wait_for(self._submit(task), timeout)
         except asyncio.TimeoutError:
             self._timeouts.inc()
             raise ProtocolError(
@@ -468,15 +473,16 @@ class ServeHandlers:
         """``POST /run`` with ``stream: true`` — start a feed, hand back
         its token.
 
-        The response returns immediately; the trial executes (cache
-        miss) or replays its archived payload (hit — frame-identical
-        to the live feed it archives) in the background, publishing
-        onto a :class:`~repro.stream.bus.RunStream` that ``GET
-        /stream?run=<token>`` subscribes to.  The feed holds one
+        The response returns immediately; in the background a miss
+        computes its trial on the compute executor and persists it,
+        then the payload's archived event log is replayed onto a
+        :class:`~repro.stream.bus.RunStream` that ``GET
+        /stream?run=<token>`` subscribes to.  A hit only replays, so
+        warm and cold feeds are one code path.  The feed holds one
         admission slot until its terminal frame, so graceful drain
         waits for streamed runs exactly like buffered ones.
         ``timeout_s`` does not bound the feed: a streaming client
-        watches progress live and can simply disconnect.
+        can simply disconnect.
 
         Streaming needs the reference engine's event traces.  A bare
         request streams on reference regardless of the server's
@@ -526,27 +532,25 @@ class ServeHandlers:
                             cell_key_dict: Dict[str, Any]) -> None:
         """Feed one stream to its terminal frame off the event loop.
 
-        Success ends the feed with ``end``; any failure with ``error``
-        (subscribers always see a terminal frame).  The admission slot
-        taken by :meth:`_run_streamed` is released here, whatever
-        happens, so drain accounting stays balanced.
+        A miss computes like a buffered one (:meth:`_submit`, then the
+        tier write); either way the feed is :func:`replay_payload` of
+        the payload.  Success ends the feed with ``end``; any failure
+        with ``error`` (subscribers always see a terminal frame).  The
+        admission slot taken by :meth:`_run_streamed` is released here,
+        whatever happens, so drain accounting stays balanced.
         """
-        loop = asyncio.get_running_loop()
         try:
-            if cached_payload is not None:
-                await loop.run_in_executor(
-                    None, lambda: replay_payload(cached_payload, stream))
-                finish_stream(stream, cached=True,
-                              runs=list(cached_payload["runs"]))
-            else:
-                payload = await loop.run_in_executor(
-                    None, lambda: run_streamed_trial(task, stream))
+            payload = cached_payload
+            if payload is None:
+                payload = await self._submit(task)
                 if tier is not None:
                     await self._offload(lambda: tier.put(
                         address, {"cell": cell_key_dict,
                                   "trials": [payload]}))
-                finish_stream(stream, cached=False,
-                              runs=list(payload["runs"]))
+            await asyncio.get_running_loop().run_in_executor(
+                None, replay_payload, payload, stream)
+            finish_stream(stream, cached=cached_payload is not None,
+                          runs=list(payload["runs"]))
         except Exception as exc:
             fail_stream(stream, f"{type(exc).__name__}: {exc}")
         finally:

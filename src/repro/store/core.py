@@ -528,12 +528,16 @@ class ResultStore:
 
     # -- results ---------------------------------------------------------
 
-    def put_result(self, digest: str, payload: Dict[str, Any], *,
+    def put_result(self, digest: str,
+                   payload: Union[Dict[str, Any], str], *,
                    tenant: str = DEFAULT_TENANT,
                    kind: str = "sweep_cell",
                    enforce_quota: bool = True) -> None:
         """Persist one content-addressed payload under a tenant.
 
+        ``payload`` is the result dict, or its :func:`canonical_json`
+        text when the caller has encoded it already (a
+        :class:`~repro.store.StoreTier` writes one text to both levels).
         Re-putting an existing digest replaces its payload but keeps
         the row's ``created_at``/``accessed_at``/``hits`` — a re-put
         must not jump the queue in :meth:`gc`'s oldest-first eviction
@@ -547,7 +551,8 @@ class ResultStore:
                 quota (replacements of an existing digest never do).
             StoreError: when the tenant does not exist.
         """
-        text = canonical_json(payload)
+        text = payload if isinstance(payload, str) \
+            else canonical_json(payload)
         with self._lock:
             self._require_head()
             tenant_id = self._tenant_id(tenant)

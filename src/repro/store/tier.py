@@ -10,6 +10,8 @@ handlers) gains durable persistence without changing shape:
   so the next read is local.
 - **put**: the payload lands in the store (quota-enforced) and the
   cache both, so a fresh compute is immediately durable *and* fast.
+  It is encoded once: the store row and the cache file hold the same
+  canonical text.
 
 The tier never hides quota refusals on explicit ``put`` — the caller
 (serve) needs the :exc:`~repro.store.core.QuotaExceeded` to surface a
@@ -23,6 +25,7 @@ import contextlib
 import threading
 from typing import Any, Dict, Optional
 
+from ..canonical import canonical_json
 from .core import DEFAULT_TENANT, ResultStore
 
 
@@ -80,10 +83,11 @@ class StoreTier:
                 the write; the cache is *not* written either, so a
                 throttled tenant cannot sneak results in locally.
         """
-        self.store.put_result(digest, payload, tenant=self.tenant,
+        text = canonical_json(payload)
+        self.store.put_result(digest, text, tenant=self.tenant,
                               kind=self.kind)
         with self._stats_lock:
             self.store_puts += 1
         if self.cache is not None:
             with contextlib.suppress(OSError):  # the store row is durable
-                self.cache.put(digest, payload)
+                self.cache.put(digest, text)

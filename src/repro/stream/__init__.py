@@ -1,36 +1,34 @@
-"""Live event streaming: watch a simulation run while it runs.
+"""Event streaming: watch a simulation run's timeline unfold.
 
 Where :mod:`repro.serve` made experiments *servable* and
 :mod:`repro.store` made their results *durable*, this package makes a
-running experiment *watchable*: engine events flow out of the
-simulation as they happen, over an async-safe bus, onto SSE
-connections and terminal tutor views — the infrastructure form of the
-paper's "watch the parallelism happen" classroom moment.
+run *watchable*: a trial's engine events flow, in simulated-time
+order, over an async-safe bus onto SSE connections and terminal tutor
+views — the infrastructure form of the paper's "watch the parallelism
+happen" classroom moment.
 
 - :mod:`~repro.stream.protocol` — the versioned wire schema: envelope
   frames (``seq`` / sim-time / kind / payload), SSE framing, and the
   reassembly helper that proves a feed byte-identical to the archived
   event log;
 - :mod:`~repro.stream.bus` — a thread-safe fan-out bus that never
-  blocks the engine: every subscriber is a cursor into the feed's one
-  history, so a late, lagging or resumed consumer reads every frame;
-- :mod:`~repro.stream.observer` — the :class:`StreamObserver` engine
-  tap (PR 2 Observer protocol) publishing archived-form event lines;
-- :mod:`~repro.stream.runner` — execute (or cache-replay) one sweep
-  trial through a stream, payloads byte-identical to unstreamed runs;
+  blocks its publisher: every subscriber is a cursor into the feed's
+  one history, so a late, lagging or resumed consumer reads every
+  frame;
+- :mod:`~repro.stream.runner` — publish one sweep trial's payload
+  (freshly computed or read from a cache) through a stream;
 - :mod:`~repro.stream.tutor` — guided lessons (speedup, warmup,
-  contention, pipelining) narrating a live feed with terminal Gantt
-  and agents-waiting views, locally or against a remote server.
+  contention, pipelining) narrating a feed with terminal Gantt and
+  agents-waiting views, locally or against a remote server.
 
 The headline invariant, pinned by tier-1 tests: for any seeded run,
 the concatenated streamed feed — including one resumed mid-run from an
 arbitrary cursor — reassembles to *exactly* the archived event log of
-the same run.  Streaming is a tap, never a fork.
+the same run.  A feed has one producer: the archived payload.
 """
 
 from ..sim.export import event_line
 from .bus import RunStream, StreamClosed, StreamHub, Subscription
-from .observer import StreamObserver, label_sequence_factory
 from .protocol import (
     FRAME_KINDS,
     STREAM_PROTOCOL_VERSION,
@@ -54,7 +52,6 @@ from .runner import (
     fail_stream,
     finish_stream,
     replay_payload,
-    run_streamed_trial,
 )
 from .tutor import (
     LESSONS,
@@ -76,7 +73,6 @@ __all__ = [
     "StreamClosed",
     "StreamEvent",
     "StreamHub",
-    "StreamObserver",
     "StreamProtocolError",
     "StreamUnsupported",
     "Subscription",
@@ -94,12 +90,10 @@ __all__ = [
     "feed_makespans",
     "finish_stream",
     "heartbeat_comment",
-    "label_sequence_factory",
     "lesson_catalog",
     "loads_frame",
     "reassemble_feed",
     "replay_payload",
     "run_lesson",
-    "run_streamed_trial",
     "split_runs",
 ]

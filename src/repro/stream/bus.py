@@ -1,15 +1,16 @@
 """The stream bus: thread-safe fan-out over one shared feed history.
 
-The publisher is an engine thread (a :class:`~repro.stream.observer.
-StreamObserver` hook running inside the simulation loop); consumers
-are SSE connections on the serve event loop, tutor renderers, or
-tests.  The contract, in priority order:
+A feed has one producer: the archived payload.  Its publisher is the
+thread replaying a trial's payload
+(:func:`~repro.stream.runner.replay_payload`) — a serve executor
+thread or the tutor; consumers are SSE connections on the serve event
+loop, tutor renderers, or tests.  The contract, in priority order:
 
-1. **Publishing never blocks and never fails.**  The engine must not
-   notice observers.  Wakes are edge-triggered: a publish wakes only
-   the subscribers that have caught up (popped to the end of the
-   history) since their last wake, deciding under the stream lock and
-   calling the wakers after releasing it.  So a subscriber costs the
+1. **Publishing never blocks and never fails.**  The publisher must
+   not wait on its consumers.  Wakes are edge-triggered: a publish
+   wakes only the subscribers that have caught up (popped to the end
+   of the history) since their last wake, deciding under the stream
+   lock and calling the wakers after releasing it.  So a subscriber costs the
    publisher one wake per catch-up, not one per frame, and a slow or
    stuck one costs it one wake in all.
 2. **Every subscriber reads the one history, without gaps.**  The

@@ -1,21 +1,12 @@
-"""Drive one sweep trial through the stream bus — live or replayed.
+"""Publish one sweep trial's payload through the stream bus.
 
-Two ways a feed gets produced, both yielding **identical frames**:
-
-- :func:`run_streamed_trial` executes the trial in-process via
-  :func:`repro.sweep.executor.run_trial` with a
-  :class:`~repro.stream.observer.StreamObserver` tee'd onto each run,
-  so frames are published *while the engine runs*.  Observers are
-  read-only, so the returned payload is byte-identical to an
-  unstreamed execution of the same task.
-- :func:`replay_payload` re-publishes the archived event log out of a
-  stored/cached trial payload (``payload["runs"][label]["trace"]`` is
-  the verbatim :func:`repro.sim.export.export_trace` text).  Because a
-  live ``event`` frame's payload *is* the archived line, a replayed
-  feed is frame-for-frame what the live feed was — warm-cache streams
-  and cold streams are indistinguishable to a subscriber.
-
-Either way the caller finishes the feed with :func:`finish_stream`
+A feed has one producer: the archived trial payload.
+:func:`replay_payload` re-publishes its event log
+(``payload["runs"][label]["trace"]`` is the verbatim
+:func:`repro.sim.export.export_trace` text) as frames, whether the
+payload was just computed by :func:`repro.sweep.executor.run_trial` or
+read back from a cache or store, so cold and warm feeds are the same
+frames.  The caller finishes the feed with :func:`finish_stream`
 (terminal ``end`` frame) or :func:`fail_stream` (terminal ``error``).
 
 The vector backend advances trials as structure-of-arrays draws and
@@ -31,7 +22,6 @@ from typing import Any, Dict, List
 
 from ..sweep.spec import ACTIVITY
 from .bus import RunStream
-from .observer import StreamObserver, label_sequence_factory
 
 #: Run labels of one whole-activity trial, in classroom execution
 #: order (see :func:`repro.schedule.scenario.run_core_activity`).
@@ -64,35 +54,14 @@ def check_streamable(task: Dict[str, Any]) -> None:
             f"streaming needs the reference engine")
 
 
-def run_streamed_trial(task: Dict[str, Any],
-                       stream: RunStream) -> Dict[str, Any]:
-    """Execute one trial live through ``stream``; returns its payload.
-
-    The payload is byte-identical to ``run_trial(task)`` — streaming
-    is a tap, not a fork.  The feed is left *open*: the caller decides
-    whether ``end`` (normal) or ``error`` closes it, after persisting
-    the payload.
-
-    Raises:
-        StreamUnsupported: for tasks with nothing to stream (vector).
-    """
-    from ..sweep.executor import run_trial
-
-    check_streamable(task)
-    factory = label_sequence_factory(
-        stream, expected_run_labels(task["cell"]))
-    return run_trial(task, observer_factory=factory)
-
-
 def replay_payload(payload: Dict[str, Any], stream: RunStream) -> None:
-    """Publish an archived trial payload's event log as a live feed.
+    """Publish an archived trial payload's event log as a feed.
 
-    Every ``event`` frame is identical to what a live run of the same
-    task published — archived lines are re-emitted verbatim — so the
-    reassembled log of a cache-hit feed equals the cold feed's byte
-    for byte.  Run boundaries are re-derived from the log (``run_end``
-    makespan = last event time).  The feed is left open, same as
-    :func:`run_streamed_trial`.
+    Each run is a ``run_start`` frame, one ``event`` frame per archived
+    line (re-emitted verbatim, so the feed reassembles to the archive
+    byte for byte) and a ``run_end`` frame whose makespan is the last
+    event time.  The feed is left open: the caller decides whether
+    ``end`` (normal) or ``error`` closes it.
     """
     import json
 

@@ -1,8 +1,8 @@
 """Interactive guided lessons: the paper's debrief, narrated live.
 
 ``repro tutor`` runs one *real* engine trial — the full classroom
-activity, scenario 1 through 4 — through the stream bus and narrates
-one of the paper's lessons over the feed:
+activity, scenario 1 through 4 — publishes it through the stream bus
+and narrates one of the paper's lessons over the feed:
 
 - ``speedup``: makespans fall from scenario 1 to 3, sublinearly;
 - ``warmup``: the repeated scenario 1 run is faster than the first;
@@ -14,10 +14,11 @@ Every lesson consumes the same feed a remote SSE subscriber would see
 streamed archive lines, and renders a terminal Gantt plus an
 agents-waiting sparkline — the "watch the parallelism happen" view the
 activity is built around.  Locally the trial executes in-process
-through :func:`~repro.stream.runner.run_streamed_trial`; with
-``serve=(host, port)`` the tutor subscribes to a remote ``repro
-serve`` endpoint over SSE instead, so one classroom server can drive
-many tutors.
+through :func:`~repro.sweep.executor.run_trial` and its payload is
+published with :func:`~repro.stream.runner.replay_payload`, as the
+server does; with ``serve=(host, port)`` the tutor subscribes to a
+remote ``repro serve`` endpoint over SSE instead, so one classroom
+server can drive many tutors.
 
 The lesson catalog is a plain name → description mapping
 (:func:`available_lessons`), the shape a lesson-picking CLI wants.
@@ -25,14 +26,13 @@ The lesson catalog is a plain name → description mapping
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..classroom.discussion import LESSON_INTROS, Lesson
 from ..sim.export import import_trace
 from ..sim.trace import Trace
-from ..sweep.executor import make_task
+from ..sweep.executor import make_task, run_trial
 from ..sweep.spec import ACTIVITY, SweepCell
 from ..viz.bars import sparkline
 from ..viz.gantt import render_gantt
@@ -43,7 +43,7 @@ from .protocol import (
     feed_makespans,
     reassemble_feed,
 )
-from .runner import fail_stream, finish_stream, run_streamed_trial
+from .runner import finish_stream, replay_payload
 
 #: Default experiment shape every lesson runs (the classroom default).
 DEFAULT_FLAG = "mauritius"
@@ -134,32 +134,13 @@ def activity_cell(*, flag: str = DEFAULT_FLAG,
 
 
 def _collect_local(cell: SweepCell, seed: int) -> List[StreamEvent]:
-    """Run the trial in-process; returns its whole feed."""
-    task = make_task(cell, seed=seed, n_trials=1, trial=0)
+    """Run the trial in-process and publish its payload; its whole feed."""
+    payload = run_trial(make_task(cell, seed=seed, n_trials=1, trial=0))
     stream = RunStream(f"tutor-{cell.flag}-{seed}")
-    sub = stream.subscribe()
-
-    def work() -> None:
-        try:
-            payload = run_streamed_trial(task, stream)
-            finish_stream(stream, cached=False,
-                          runs=list(payload["runs"]))
-        except Exception as exc:  # surfaced to the consumer as a frame
-            fail_stream(stream, f"{type(exc).__name__}: {exc}")
-
-    worker = threading.Thread(target=work, name="tutor-trial",
-                              daemon=True)
-    worker.start()
-    frames: List[StreamEvent] = []
-    done = False
-    while not done:
-        sub.wait(1.0)
-        batch = sub.pop_ready()
-        frames.extend(batch)
-        done = any(f.terminal for f in batch)
-    worker.join(timeout=10.0)
-    sub.close()
-    return frames
+    with stream.subscribe() as sub:
+        replay_payload(payload, stream)
+        finish_stream(stream, cached=False, runs=list(payload["runs"]))
+        return sub.pop_ready(max_frames=stream.last_seq)
 
 
 def _collect_remote(cell: SweepCell, seed: int, serve: Tuple[str, int],

@@ -35,7 +35,7 @@ import tempfile
 from typing import Any, Callable, Dict, Optional, Union
 
 from .. import __version__
-from ..canonical import canonical_bytes
+from ..canonical import canonical_bytes, canonical_json
 
 #: Bump when the payload layout changes; stale schema -> clean miss.
 CACHE_SCHEMA = 1
@@ -146,9 +146,16 @@ class ResultCache:
         except OSError:  # pragma: no cover - raced away; miss either way
             pass
 
-    def put(self, digest: str, payload: Dict[str, Any]) -> None:
+    def put(self, digest: str,
+            payload: Union[Dict[str, Any], str]) -> None:
         """Store a payload's canonical bytes atomically (temp file, rename),
-        recreating a root deleted under the running process."""
+        recreating a root deleted under the running process.
+
+        ``payload`` is the result dict, or its canonical JSON text when
+        the caller has encoded it already.
+        """
+        text = payload if isinstance(payload, str) \
+            else canonical_json(payload)
         try:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         except FileNotFoundError:
@@ -156,7 +163,7 @@ class ResultCache:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fp:
-                fp.write(canonical_bytes(payload))
+                fp.write(text.encode("utf-8"))
             os.replace(tmp, self._path(digest))
         except BaseException:
             if os.path.exists(tmp):

@@ -72,8 +72,7 @@ def _run_payload(result) -> Dict[str, Any]:
     return payload
 
 
-def run_trial(task: Dict[str, Any],
-              observer_factory: Optional[Any] = None) -> Dict[str, Any]:
+def run_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one (cell, trial) task; pure function of the task dict.
 
     This is the unit the process pool ships across cores.  It must stay
@@ -86,14 +85,6 @@ def run_trial(task: Dict[str, Any],
     ``"backend"`` key run on the reference event-loop engine, whose
     path and payloads are byte-for-byte what they were before backends
     existed.
-
-    ``observer_factory`` attaches an extra read-only tap to every run
-    (one fresh observer per run, tee'd with the ``observe`` digest when
-    both are requested).  Observers never perturb the engine, so the
-    returned payload stays byte-identical with or without one — this is
-    how :mod:`repro.stream` watches a trial live without forking the
-    execution path.  In-process callers only: the pool path always
-    ships bare tasks.
 
     Raises:
         BackendError: when the task names an engine other than
@@ -110,7 +101,7 @@ def run_trial(task: Dict[str, Any],
     from ..agents import make_team
     from ..agents.student import FillStyle
     from ..flags import get_flag
-    from ..obs import RunObserver, TeeObserver
+    from ..obs import RunObserver
     from ..schedule import (
         AcquirePolicy,
         get_scenario,
@@ -130,12 +121,8 @@ def run_trial(task: Dict[str, Any],
     fault_plan = (None if cell["faults"] is None
                   else fault_plan_from_dicts(cell["faults"]))
 
-    # One fresh observer per run: the deterministic digest first, then
-    # the caller's tap, tee'd when both are asked for.
+    # One fresh observer per run: observers accumulate state.
     factory = RunObserver if task.get("observe", False) else None
-    if observer_factory is not None:
-        factory = (observer_factory if factory is None else
-                   lambda: TeeObserver(RunObserver(), observer_factory()))
 
     team = make_team(f"trial{trial}", cell["team_size"], rng,
                      colors=list(spec.colors_used()), copies=cell["copies"])

